@@ -138,7 +138,7 @@ void RackFabric::AssignLinks(TransferId id, Flow& flow, std::vector<int>& dirty)
   }
   for (int i = 0; i < flow.num_links; ++i) {
     const int link = flow.links[static_cast<std::size_t>(i)];
-    links_[static_cast<std::size_t>(link)].flows.push_back(id);
+    links_[static_cast<std::size_t>(link)].flows.push_back(CompFlow{id, &flow});
     dirty.push_back(link);
   }
   wire_flow_count_ += 1;
@@ -202,7 +202,8 @@ void RackFabric::DetachFromLinks(TransferId id, Flow& flow, std::vector<int>& di
     auto& on_link = links_[static_cast<std::size_t>(link)].flows;
     // Find-and-swap-remove: order within a link's list is irrelevant (the
     // component pass sorts by id before anything order-sensitive happens).
-    const auto pos = std::find(on_link.begin(), on_link.end(), id);
+    const auto pos = std::find_if(on_link.begin(), on_link.end(),
+                                  [id](const CompFlow& cf) { return cf.id == id; });
     HOPLITE_CHECK(pos != on_link.end());
     *pos = on_link.back();
     on_link.pop_back();
@@ -211,6 +212,7 @@ void RackFabric::DetachFromLinks(TransferId id, Flow& flow, std::vector<int>& di
   flow.num_links = 0;
   flow.rate = 0;
   ++flow.gen;  // invalidate any completion-heap records
+  flow.own_at = kNoRecords;
   wire_flow_count_ -= 1;
 }
 
@@ -234,11 +236,11 @@ void RackFabric::Recompute(const std::vector<int>& dirty) {
   while (!stack.empty()) {
     const int link = stack.back();
     stack.pop_back();
-    for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-      Flow& f = flows_.find(id)->second;
+    for (const CompFlow& cf : links_[static_cast<std::size_t>(link)].flows) {
+      Flow& f = *cf.flow;
       if (f.mark == epoch_) continue;
       f.mark = epoch_;
-      comp_flows_.push_back(CompFlow{id, &f});
+      comp_flows_.push_back(cf);
       for (int i = 0; i < f.num_links; ++i) {
         const int fl = f.links[static_cast<std::size_t>(i)];
         Link& l = links_[static_cast<std::size_t>(fl)];
@@ -250,10 +252,10 @@ void RackFabric::Recompute(const std::vector<int>& dirty) {
     }
   }
   if (comp_flows_.empty()) return;
+  ++counters_.recomputes;
+  counters_.component_flows += comp_flows_.size();
   // Ascending TransferId: the deterministic iteration order of the filling
-  // and of the heap-record refresh below. Flow pointers are stable for the
-  // duration of the pass (nothing inserts into flows_ here), so the hot
-  // loops below never touch the hash table again.
+  // and of the heap-record refresh below.
   std::sort(comp_flows_.begin(), comp_flows_.end(),
             [](const CompFlow& a, const CompFlow& b) { return a.id < b.id; });
 
@@ -265,7 +267,6 @@ void RackFabric::Recompute(const std::vector<int>& dirty) {
     Link& l = links_[static_cast<std::size_t>(link)];
     l.unfrozen = static_cast<int>(l.flows.size());
     l.frozen_sum = 0;
-    l.saturated = false;
   }
 
   if (config_.qos.wfq) {
@@ -274,10 +275,7 @@ void RackFabric::Recompute(const std::vector<int>& dirty) {
     FillMaxMin();
   }
 
-  for (const CompFlow& cf : comp_flows_) {
-    ++cf.flow->gen;
-    PushCompletionRecords(cf.id, *cf.flow);
-  }
+  for (const CompFlow& cf : comp_flows_) RefreshCompletionRecords(cf.id, *cf.flow);
   CompactHeaps();
   if (config_.qos.aqm) ArmAqmChecks();
   HOPLITE_AUDIT_SCOPE(AuditFairShare());
@@ -290,41 +288,51 @@ void RackFabric::FillMaxMin() {
   // directly (instead of accumulating per-round deltas) makes the result
   // independent of which other components happen to be recomputed alongside
   // — the component-local pass is bit-identical to a whole-fabric pass.
+  //
+  // A round only needs the links that can still saturate, and only the
+  // flows on the links that just did: every freeze within a round adds the
+  // same level, so the order of freezes cannot change any frozen_sum.
+  std::vector<int>& active = active_links_;
+  active.clear();
+  for (const int link : comp_links_) {
+    if (links_[static_cast<std::size_t>(link)].unfrozen > 0) active.push_back(link);
+  }
+  std::vector<int>& saturated = saturated_links_;
   int unfrozen_flows = static_cast<int>(comp_flows_.size());
   int guard = unfrozen_flows + static_cast<int>(comp_links_.size()) + 1;
   while (unfrozen_flows > 0 && guard-- > 0) {
+    ++counters_.fill_rounds;
     double level = std::numeric_limits<double>::infinity();
-    for (const int link : comp_links_) {
-      Link& l = links_[static_cast<std::size_t>(link)];
-      if (l.unfrozen == 0 || l.saturated) continue;
-      const double share = std::max(0.0, l.capacity - l.frozen_sum) / l.unfrozen;
-      level = std::min(level, share);
+    for (const int link : active) {
+      const Link& l = links_[static_cast<std::size_t>(link)];
+      level = std::min(level, std::max(0.0, l.capacity - l.frozen_sum) / l.unfrozen);
     }
     HOPLITE_CHECK(std::isfinite(level)) << "unfrozen flow with no unsaturated link";
-    for (const int link : comp_links_) {
-      Link& l = links_[static_cast<std::size_t>(link)];
-      if (l.unfrozen == 0 || l.saturated) continue;
+    saturated.clear();
+    for (const int link : active) {
+      const Link& l = links_[static_cast<std::size_t>(link)];
       const double headroom = l.capacity - (l.frozen_sum + level * l.unfrozen);
-      if (headroom <= l.capacity * 1e-9) l.saturated = true;
+      if (headroom <= l.capacity * 1e-9) saturated.push_back(link);
     }
-    for (const CompFlow& cf : comp_flows_) {
-      Flow& f = *cf.flow;
-      if (f.frozen) continue;
-      bool bottlenecked = false;
-      for (int i = 0; i < f.num_links && !bottlenecked; ++i) {
-        bottlenecked =
-            links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])].saturated;
-      }
-      if (!bottlenecked) continue;
-      f.frozen = true;
-      f.rate = level;
-      --unfrozen_flows;
-      for (int i = 0; i < f.num_links; ++i) {
-        Link& l = links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])];
-        l.unfrozen -= 1;
-        l.frozen_sum += level;
+    for (const int link : saturated) {
+      for (const CompFlow& cf : links_[static_cast<std::size_t>(link)].flows) {
+        Flow& f = *cf.flow;
+        if (f.frozen) continue;
+        f.frozen = true;
+        f.rate = level;
+        --unfrozen_flows;
+        for (int i = 0; i < f.num_links; ++i) {
+          Link& l = links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])];
+          l.unfrozen -= 1;
+          l.frozen_sum += level;
+        }
       }
     }
+    // A saturated link froze all its flows, so one test drops both it and
+    // the links whose last unfrozen flow froze elsewhere.
+    std::erase_if(active, [this](int link) {
+      return links_[static_cast<std::size_t>(link)].unfrozen == 0;
+    });
   }
   HOPLITE_CHECK_EQ(unfrozen_flows, 0) << "progressive filling did not converge";
 }
@@ -370,6 +378,7 @@ void RackFabric::FillWeighted() {
   int unfrozen_flows = static_cast<int>(comp_flows_.size());
   int guard = unfrozen_flows + static_cast<int>(comp_links_.size()) + 1;
   while (unfrozen_flows > 0 && guard-- > 0) {
+    ++counters_.fill_rounds;
     double best = std::numeric_limits<double>::infinity();
     for (const int link : comp_links_) {
       Link& l = links_[static_cast<std::size_t>(link)];
@@ -428,8 +437,8 @@ void RackFabric::ArmAqmChecks() {
   for (const int link : comp_links_) {
     if (link < first_up || link >= last_up) continue;
     det::Map<qos::TenantId, std::pair<double, double>> queues;  // bytes, rate
-    for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-      const Flow& f = flows_.find(id)->second;
+    for (const CompFlow& cf : links_[static_cast<std::size_t>(link)].flows) {
+      const Flow& f = *cf.flow;
       auto& [bytes, rate] = queues[f.tenant];
       bytes += f.remaining;
       rate += f.rate;
@@ -451,8 +460,8 @@ std::pair<double, double> RackFabric::TenantLoadOn(int link,
   const SimTime now = sim_.Now();
   double bytes = 0;
   double rate = 0;
-  for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-    const Flow& f = flows_.find(id)->second;
+  for (const CompFlow& cf : links_[static_cast<std::size_t>(link)].flows) {
+    const Flow& f = *cf.flow;
     if (f.tenant != tenant) continue;
     bytes += RemainingAt(f, now);
     rate += f.rate;
@@ -474,14 +483,14 @@ void RackFabric::OnAqmCheck(int link, qos::TenantId tenant) {
   // link share is unchanged while its other flows stay on the wire — so
   // the mark backs the whole per-tenant queue off, the flow-queuing
   // analogue of CE-marking the aggregate.
-  std::vector<TransferId> queue;
-  for (const TransferId id : links_[static_cast<std::size_t>(link)].flows) {
-    if (flows_.find(id)->second.tenant == tenant) queue.push_back(id);
+  std::vector<CompFlow> queue;
+  for (const CompFlow& cf : links_[static_cast<std::size_t>(link)].flows) {
+    if (cf.flow->tenant == tenant) queue.push_back(cf);
   }
   det::Set<NodeID> senders;
-  for (const TransferId id : queue) {
-    senders.insert(flows_.find(id)->second.src);
-    PauseFlow(id);
+  for (const CompFlow& cf : queue) {
+    senders.insert(cf.flow->src);
+    PauseFlow(cf.id);
   }
   for (const NodeID src : senders) NotifyBackpressure(src, tenant);
   sim_.ScheduleAfter(verdict.next_check,
@@ -527,11 +536,12 @@ void RackFabric::AuditFairShare() const {
   std::vector<double> rate_max(links_.size(), 0);
   std::size_t wire_flows_on_links = 0;
   for (std::size_t link = 0; link < links_.size(); ++link) {
-    for (const TransferId id : links_[link].flows) {
-      const auto it = flows_.find(id);
-      HOPLITE_AUDIT(it != flows_.end()) << "link lists unknown flow " << id;
-      const Flow& f = it->second;
-      HOPLITE_AUDIT(f.stage == Stage::kWire) << "link lists delivered flow " << id;
+    for (const CompFlow& cf : links_[link].flows) {
+      const auto it = flows_.find(cf.id);
+      HOPLITE_AUDIT(it != flows_.end() && &it->second == cf.flow)
+          << "link lists unknown flow " << cf.id;
+      const Flow& f = *cf.flow;
+      HOPLITE_AUDIT(f.stage == Stage::kWire) << "link lists delivered flow " << cf.id;
       rate_sum[link] += f.rate;
       rate_max[link] = std::max(rate_max[link], f.rate);
     }
@@ -574,7 +584,8 @@ void RackFabric::AuditFairShare() const {
     for (int i = 0; i < f.num_links; ++i) {
       const auto& on_link =
           links_[static_cast<std::size_t>(f.links[static_cast<std::size_t>(i)])].flows;
-      HOPLITE_AUDIT(std::find(on_link.begin(), on_link.end(), id) != on_link.end())
+      HOPLITE_AUDIT(std::any_of(on_link.begin(), on_link.end(),
+                                [id](const CompFlow& cf) { return cf.id == id; }))
           << "flow " << id << " missing from its link list";
     }
   }
@@ -583,17 +594,36 @@ void RackFabric::AuditFairShare() const {
   // Every link membership belongs to a wire flow, and wire flows appear on
   // exactly num_links lists: the totals must agree.
   std::size_t expected_memberships = 0;
+  std::size_t recorded = 0;
   for (const TransferId id : det::SortedKeys(flows_)) {
     const Flow& f = flows_.find(id)->second;
-    if (f.stage == Stage::kWire) {
-      expected_memberships += static_cast<std::size_t>(f.num_links);
-    }
+    if (f.stage != Stage::kWire) continue;
+    expected_memberships += static_cast<std::size_t>(f.num_links);
+    if (f.own_at != kNoRecords && f.own_at != kSimTimeMax) ++recorded;
   }
   HOPLITE_AUDIT(wire_flows_on_links == expected_memberships)
       << "(" << wire_flows_on_links << " link memberships vs " << expected_memberships << ")";
+  // Completion records: a flow whose own_at is a time holds exactly one live
+  // record in each heap, at own_at and half_at (a kept record is as good as
+  // a re-pushed one only if it is really there). Live records of a flow
+  // marked kNoRecords are tolerated: OnWireCompletion re-pushes those.
+  const auto live_records = [this](const std::vector<HeapEntry>& heap, bool own) {
+    std::size_t live = 0;
+    for (const HeapEntry& e : heap) {
+      if (IsStale(e)) continue;
+      const Flow& f = flows_.find(e.id)->second;
+      if (f.own_at == kNoRecords) continue;
+      HOPLITE_AUDIT(e.time == (own ? f.own_at : f.half_at))
+          << "flow " << e.id << " record at " << e.time << " disagrees with its flow";
+      ++live;
+    }
+    return live;
+  };
+  HOPLITE_AUDIT(live_records(own_heap_, true) == recorded) << "own-heap records lost";
+  HOPLITE_AUDIT(live_records(half_heap_, false) == recorded) << "half-heap records lost";
 }
 
-void RackFabric::PushCompletionRecords(TransferId id, Flow& flow) {
+void RackFabric::RefreshCompletionRecords(TransferId id, Flow& flow) {
   const SimTime now = flow.anchor;
   SimTime t_own = kSimTimeMax;
   SimTime t_half = kSimTimeMax;
@@ -625,7 +655,14 @@ void RackFabric::PushCompletionRecords(TransferId id, Flow& flow) {
       t_half = std::min(t_half, t_own);
     }
   }
+  // Same times as the live records: keeping them is indistinguishable from
+  // re-pushing, since the heaps act only on the (time, id) of live records.
+  if (t_own == flow.own_at && t_half == flow.half_at) return;
+  ++flow.gen;
+  flow.own_at = t_own;
+  flow.half_at = t_half;
   if (t_own == kSimTimeMax) return;  // no rate: waits for the next recompute
+  ++counters_.records_pushed;
   own_heap_.push_back(HeapEntry{t_own, id, flow.gen});
   std::push_heap(own_heap_.begin(), own_heap_.end(), EntryLater{});
   half_heap_.push_back(HeapEntry{t_half, id, flow.gen});
@@ -674,9 +711,13 @@ void RackFabric::OnWireCompletion() {
     std::pop_heap(half_heap_.begin(), half_heap_.end(), EntryLater{});
     half_heap_.pop_back();
     if (IsStale(e)) continue;
-    if (RemainingAt(flows_.find(e.id)->second, now) <= kDoneBytes) {
+    Flow& flow = flows_.find(e.id)->second;
+    if (RemainingAt(flow, now) <= kDoneBytes) {
       done.push_back(e.id);
     } else {
+      // Its half record is gone: the refresh below must push, even where
+      // the prediction matches the (now half-dead) records.
+      flow.own_at = kNoRecords;
       not_yet.push_back(e.id);
     }
   }
@@ -701,8 +742,7 @@ void RackFabric::OnWireCompletion() {
     Flow& flow = flows_.find(id)->second;
     if (recomputed && flow.mark == epoch_) continue;
     Materialize(flow, now);
-    ++flow.gen;
-    PushCompletionRecords(id, flow);
+    RefreshCompletionRecords(id, flow);
   }
   RescheduleCompletion();
 }

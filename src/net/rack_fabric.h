@@ -29,6 +29,11 @@
 //    Rates are assigned as per-bottleneck water levels — a direct
 //    (capacity - frozen) / unfrozen division — so a component-local pass
 //    produces bit-identical rates to a whole-fabric pass.
+//  * Each filling round touches only what can still change: it scans the
+//    active links (those with unfrozen flows that are not yet saturated)
+//    for the level, then freezes just the flows listed on the links that
+//    saturated in that round. Link flow lists carry the Flow pointer next
+//    to the id, so neither the BFS nor the freeze loop hashes.
 //  * Per-flow progress is lazy: `remaining` is anchored at the flow's last
 //    rate change (`anchor`) and evaluated as remaining - rate * dt on
 //    demand, so untouched components never get booked per event.
@@ -37,16 +42,20 @@
 //    and a second over "could already count as done" times reproduces the
 //    old full-scan sweep that let sub-residue flows piggyback on a
 //    concurrent completion. Stale heap records are generation-stamped and
-//    skipped (and compacted once they dominate).
+//    skipped (and compacted once they dominate). A recomputed flow whose
+//    predicted times match its live records keeps them: most flows of a
+//    component keep their rate, and re-pushing identical records was most
+//    of the heap traffic.
 //
 // With `ClusterConfig::qos.wfq` the filling becomes hierarchical: contended
 // links divide capacity max-min across *tenants* first (weighted by
 // QosConfig::tenant_weights), then across each tenant's flows — same dirty
 // component machinery, different water-level solver (qos/wfq.h). With
 // `qos.aqm` each (ToR uplink, tenant) pair carries a CoDel-style virtual
-// queue (qos/aqm.h): sustained above-target sojourn pauses the tenant's
-// fattest transfer on that uplink and raises ECN-like backpressure to the
-// sending client. Both default off, leaving behaviour bit-identical.
+// queue (qos/aqm.h): sustained above-target sojourn pauses every flow of
+// the tenant's queue on that uplink and raises ECN-like backpressure to
+// each distinct sending client. Both default off, leaving behaviour
+// bit-identical.
 #pragma once
 
 #include <array>
@@ -91,6 +100,17 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
   /// Cumulative AQM early-mark count (0 unless `qos.aqm` is on).
   [[nodiscard]] std::int64_t aqm_marks() const noexcept { return aqm_.marks(); }
 
+  /// Deterministic, cumulative fair-share work counters.
+  struct FairShareCounters {
+    std::uint64_t recomputes = 0;       ///< component fills run
+    std::uint64_t component_flows = 0;  ///< flows in those components, summed
+    std::uint64_t fill_rounds = 0;      ///< water-level rounds, summed
+    std::uint64_t records_pushed = 0;   ///< completion-record pairs pushed
+  };
+  [[nodiscard]] const FairShareCounters& fair_share_counters() const noexcept {
+    return counters_;
+  }
+
  protected:
   void StartTransfer(TransferId id, NodeID src, NodeID dst, std::int64_t bytes,
                      DeliveryCallback on_delivered, FailureCallback on_failed,
@@ -98,19 +118,32 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
   void AbortTransfersOf(NodeID node) override;
 
  private:
+  struct Flow;
+
+  /// A flow reference: id for deterministic ordering, pointer so the hot
+  /// loops skip the hash lookup (unordered_map nodes never move, and a flow
+  /// leaves every link list before it is erased).
+  struct CompFlow {
+    TransferId id = 0;
+    Flow* flow = nullptr;
+  };
+
   /// A shared resource: one NIC direction or one ToR uplink/downlink.
   struct Link {
     double capacity = 0;                ///< bytes per second
-    std::vector<TransferId> flows;      ///< wire flows crossing this link
+    std::vector<CompFlow> flows;        ///< wire flows crossing this link
     // Scratch state for the component-local progressive filling:
     int unfrozen = 0;
-    double frozen_sum = 0;  ///< total rate already granted to frozen flows
-    bool saturated = false;
+    double frozen_sum = 0;   ///< total rate already granted to frozen flows
     std::uint64_t mark = 0;  ///< BFS epoch stamp
     /// Scratch per-tenant demand groups (WFQ mode only), rebuilt per
     /// Recompute in first-appearance order of the id-sorted component flows.
     std::vector<qos::TenantDemand> wfq;
   };
+
+  /// Flow::own_at of a flow whose heap records are dead (never pushed,
+  /// detached, or half record popped): the next refresh must push.
+  static constexpr SimTime kNoRecords = -1;
 
   enum class Stage {
     kWire,      ///< occupying link bandwidth (remaining > 0)
@@ -129,7 +162,11 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
     bool frozen = false;   ///< scratch state for progressive filling
     std::array<int, 4> links{};
     int num_links = 0;
-    std::uint32_t gen = 0;   ///< stamps completion-heap records; bumps on re-rate
+    /// Times of the live (own, half) heap records; own_at is kSimTimeMax
+    /// while the flow has no rate, kNoRecords once its records are dead.
+    SimTime own_at = kNoRecords;
+    SimTime half_at = kNoRecords;
+    std::uint32_t gen = 0;   ///< stamps completion-heap records; bumps on re-push
     std::uint64_t mark = 0;  ///< BFS epoch stamp
     sim::EventId delivery_event;  ///< valid in kDelivery; doubles as the
                                   ///< resume event while kPaused
@@ -144,13 +181,6 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
     std::uint32_t gen = 0;
   };
 
-  /// A component member: id for deterministic ordering, pointer so the hot
-  /// filling loops skip the hash lookup (stable while Recompute runs).
-  struct CompFlow {
-    TransferId id = 0;
-    Flow* flow = nullptr;
-  };
-
   // Link index layout: [0, n) egress NICs, [n, 2n) ingress NICs,
   // [2n, 2n + r) ToR uplinks, [2n + r, 2n + 2r) ToR downlinks.
   [[nodiscard]] int EgressLink(NodeID node) const { return static_cast<int>(node); }
@@ -163,7 +193,7 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
   }
 
   /// True when a heap record no longer describes a live wire flow (flow
-  /// gone, past the wire stage, or re-rated since the record was pushed).
+  /// gone, past the wire stage, or re-stamped since the record was pushed).
   [[nodiscard]] bool IsStale(const HeapEntry& entry) const;
   /// Bytes left on the wire at virtual time `t` (>= flow.anchor).
   [[nodiscard]] static double RemainingAt(const Flow& flow, SimTime t);
@@ -200,26 +230,30 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
                                                        qos::TenantId tenant) const;
   /// The scheduled CoDel control-law check for one (uplink, tenant) queue.
   void OnAqmCheck(int link, qos::TenantId tenant);
-  /// Early "drop": takes the tenant's largest-remaining flow on `link` off
-  /// the wire for the configured pause, then resumes it. The ECN-like
-  /// backpressure notice goes to the flow's sending node.
+  /// Early "drop" of one flow of a marked queue (OnAqmCheck pauses every
+  /// flow of the tenant's queue on the link and notifies each distinct
+  /// sender): takes it off the wire for the configured pause, then resumes
+  /// it.
   void PauseFlow(TransferId id);
   void ResumeFlow(TransferId id);
-  /// Predicts the flow's completion and pushes fresh heap records.
-  void PushCompletionRecords(TransferId id, Flow& flow);
+  /// Predicts the flow's completion from its anchor and, unless that
+  /// matches its live heap records, re-stamps it and pushes fresh ones.
+  void RefreshCompletionRecords(TransferId id, Flow& flow);
   /// (Re)schedules the single completion event at the earliest predicted
   /// wire completion.
   void RescheduleCompletion();
   void OnWireCompletion();
   /// Moves a finished wire flow into the delivery (latency) stage.
   void EnterDeliveryStage(TransferId id, Flow& flow);
-  /// Detaches the flow from its links, appending them to `dirty`.
+  /// Detaches the flow from its links, appending them to `dirty`, and
+  /// kills its heap records.
   void DetachFromLinks(TransferId id, Flow& flow, std::vector<int>& dirty);
   /// Drops stale records once they dominate a heap.
   void CompactHeaps();
   /// Whole-fabric fair-share audit (audit builds): per-link rate
   /// conservation, max-min bottleneck optimality, membership and counter
-  /// cross-consistency. Runs after every Recompute.
+  /// cross-consistency, and live heap records matching own_at / half_at.
+  /// Runs after every Recompute.
   void AuditFairShare() const;
 
   int num_racks_ = 0;
@@ -238,11 +272,14 @@ class HOPLITE_DOMAIN_CONFINED RackFabric final : public Fabric {
   // on the hottest path).
   std::vector<CompFlow> comp_flows_;
   std::vector<int> comp_links_;
+  std::vector<int> active_links_;
+  std::vector<int> saturated_links_;
   std::vector<int> dirty_scratch_;
   std::vector<int> bfs_stack_;
   std::vector<TransferId> done_scratch_;
   std::vector<TransferId> not_yet_scratch_;
   sim::EventId completion_event_;
+  FairShareCounters counters_;
   /// CoDel state machines of the per-(uplink, tenant) virtual queues
   /// (inert unless `config_.qos.aqm`).
   qos::CodelAqm aqm_;

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -318,6 +322,203 @@ TEST(RackFabricTest, AggregateCrossRackThroughputMatchesUplink) {
   sim.Run();
   const SimTime expect = TransferTime(4 * MB(16), Gbps(5)) + Microseconds(50);
   EXPECT_NEAR(last, expect, 4 * kRoundingSlackNs);
+}
+
+/// A wire flow as the reference filling sees it: its id and link indices
+/// (egress n, ingress N + n, uplink 2N + r, downlink 2N + R + r).
+struct RefFlow {
+  TransferId id = 0;
+  std::vector<int> links;
+  double rate = 0;
+  bool frozen = false;
+};
+
+/// Reference max-min rates: plain progressive filling over every link and
+/// every flow of the fabric at once, with RackFabric's water-level
+/// arithmetic (`flows` ascending by id). Each round the lowest
+/// (capacity - frozen) / unfrozen share among unsaturated links is the
+/// level; links with no headroom left at it saturate, and every unfrozen
+/// flow crossing a saturated link freezes at exactly that level.
+void ReferenceMaxMin(const std::vector<double>& capacity, std::vector<RefFlow>& flows) {
+  const std::size_t n = capacity.size();
+  std::vector<int> unfrozen(n, 0);
+  std::vector<double> frozen_sum(n, 0);
+  std::vector<bool> saturated(n, false);
+  for (RefFlow& f : flows) {
+    f.frozen = false;
+    for (const int l : f.links) unfrozen[static_cast<std::size_t>(l)] += 1;
+  }
+  std::size_t left = flows.size();
+  while (left > 0) {
+    double level = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < n; ++l) {
+      if (unfrozen[l] == 0 || saturated[l]) continue;
+      level = std::min(level, std::max(0.0, capacity[l] - frozen_sum[l]) / unfrozen[l]);
+    }
+    ASSERT_TRUE(std::isfinite(level));
+    for (std::size_t l = 0; l < n; ++l) {
+      if (unfrozen[l] == 0 || saturated[l]) continue;
+      const double headroom = capacity[l] - (frozen_sum[l] + level * unfrozen[l]);
+      if (headroom <= capacity[l] * 1e-9) saturated[l] = true;
+    }
+    for (RefFlow& f : flows) {
+      if (f.frozen) continue;
+      const bool bottlenecked = std::any_of(f.links.begin(), f.links.end(), [&](int l) {
+        return saturated[static_cast<std::size_t>(l)];
+      });
+      if (!bottlenecked) continue;
+      f.frozen = true;
+      f.rate = level;
+      --left;
+      for (const int l : f.links) {
+        unfrozen[static_cast<std::size_t>(l)] -= 1;
+        frozen_sum[static_cast<std::size_t>(l)] += level;
+      }
+    }
+  }
+}
+
+TEST(RackFabricTest, RatesMatchReferenceFillingBitForBit) {
+  // Seeded flow sets on varied racks, oversubscription and per-node NICs
+  // (distinct bandwidths make the fills take many distinct levels), with
+  // staggered starts, cancels and completions. After every executed event
+  // each wire flow's rate must equal the whole-fabric reference exactly.
+  constexpr int kSets = 200;
+  constexpr double kOversub[] = {1.0, 1.5, 2.0, 3.0, 4.0, 8.0};
+  std::size_t checks = 0;
+  for (int set = 0; set < kSets; ++set) {
+    Rng rng(static_cast<std::uint64_t>(1000 + set));
+    const int nodes = static_cast<int>(rng.NextInRange(4, 20));
+    const int racks = static_cast<int>(rng.NextInRange(1, std::min(nodes, 6)));
+    ClusterConfig cfg = RackConfig(nodes, racks, kOversub[rng.NextBounded(6)]);
+    for (int node = 0; node < nodes; ++node) {
+      cfg.per_node_bandwidth.push_back(Gbps(rng.NextDoubleInRange(1, 40)));
+    }
+    sim::Simulator sim;
+    RackFabric net(sim, cfg);
+
+    struct Planned {
+      NodeID src = kInvalidNode;
+      NodeID dst = kInvalidNode;
+      TransferId id = 0;  ///< 0 until sent
+    };
+    const int flows = static_cast<int>(rng.NextInRange(4, 40));
+    std::vector<Planned> plan(static_cast<std::size_t>(flows));
+    for (int i = 0; i < flows; ++i) {
+      Planned& p = plan[static_cast<std::size_t>(i)];
+      p.src = static_cast<NodeID>(rng.NextBounded(static_cast<std::uint64_t>(nodes)));
+      p.dst = static_cast<NodeID>(rng.NextBounded(static_cast<std::uint64_t>(nodes - 1)));
+      if (p.dst >= p.src) ++p.dst;
+      const std::int64_t bytes = rng.NextInRange(KB(64), MB(8));
+      const SimTime start = rng.NextInRange(0, Milliseconds(2));
+      sim.ScheduleAt(start,
+                     [&net, &p, bytes] { p.id = net.Send(p.src, p.dst, bytes, [] {}); });
+      if (rng.NextBounded(4) == 0) {
+        sim.ScheduleAt(start + rng.NextInRange(0, Milliseconds(1)),
+                       [&net, &p] { net.CancelTransfer(p.id); });
+      }
+    }
+
+    const int n = nodes;
+    const int r = net.num_racks();
+    std::vector<double> capacity(static_cast<std::size_t>(2 * n + 2 * r));
+    for (NodeID node = 0; node < n; ++node) {
+      capacity[static_cast<std::size_t>(node)] = cfg.BandwidthOf(node);
+      capacity[static_cast<std::size_t>(n + node)] = cfg.BandwidthOf(node);
+    }
+    for (int rack = 0; rack < r; ++rack) {
+      capacity[static_cast<std::size_t>(2 * n + rack)] = net.UplinkCapacityOf(rack);
+      capacity[static_cast<std::size_t>(2 * n + r + rack)] = net.UplinkCapacityOf(rack);
+    }
+
+    while (sim.Step()) {
+      std::vector<RefFlow> wire;
+      for (const Planned& p : plan) {
+        if (p.id == 0 || net.CurrentRate(p.id) == 0) continue;
+        RefFlow f;
+        f.id = p.id;
+        f.links = {static_cast<int>(p.src), n + static_cast<int>(p.dst)};
+        const int src_rack = net.RackOf(p.src);
+        const int dst_rack = net.RackOf(p.dst);
+        if (src_rack != dst_rack) {
+          f.links.push_back(2 * n + src_rack);
+          f.links.push_back(2 * n + r + dst_rack);
+        }
+        wire.push_back(std::move(f));
+      }
+      ASSERT_EQ(wire.size(), net.wire_flows()) << "set " << set << " at " << sim.Now();
+      std::sort(wire.begin(), wire.end(),
+                [](const RefFlow& a, const RefFlow& b) { return a.id < b.id; });
+      ReferenceMaxMin(capacity, wire);
+      for (const RefFlow& f : wire) {
+        ASSERT_EQ(net.CurrentRate(f.id), f.rate)
+            << "set " << set << " flow " << f.id << " at " << sim.Now();
+        ++checks;
+      }
+    }
+    EXPECT_EQ(net.wire_flows(), 0u) << "set " << set;
+  }
+  EXPECT_GT(checks, 10000u);
+}
+
+TEST(RackFabricTest, NotYetFlowReRatedUnchangedIsStillDelivered) {
+  // At ~51 simulated days a 10 Gbps flow's predicted completion nanosecond
+  // is coarser than a byte: when G completes at T, F's sweep record (also
+  // at T) is popped but F still has 1 byte on the wire. G's completion
+  // re-shares node 1's ingress, so the same event's recompute re-rates F at
+  // an unchanged 10 Gbps. F's records must be re-pushed anyway (its sweep
+  // record is gone); a refresh that kept them would strand F on the wire.
+  ClusterConfig cfg = RackConfig(4, 1, 1.0);
+  cfg.per_node_bandwidth = {Gbps(10), Gbps(20), Gbps(10), Gbps(10)};
+  sim::Simulator sim;
+  RackFabric net(sim, cfg);
+  constexpr std::int64_t kBytes = 5485355582292127;
+  constexpr SimTime kT = 4388284465833701;
+  SimTime f_at = -1;
+  SimTime g_at = -1;
+  const TransferId f = net.Send(0, 1, kBytes, [&] { f_at = sim.Now(); });
+  const TransferId g = net.Send(2, 1, kBytes - 1, [&] { g_at = sim.Now(); });
+  EXPECT_DOUBLE_EQ(net.CurrentRate(f), Gbps(10));
+  EXPECT_DOUBLE_EQ(net.CurrentRate(g), Gbps(10));
+  // A stranded flow spins the completion event at one instant forever, so
+  // run on a step budget: the whole run is under ten events.
+  int steps = 0;
+  while (steps < 100 && sim.Step()) ++steps;
+  EXPECT_LT(steps, 100) << "the run did not drain";
+  EXPECT_EQ(g_at, kT + Microseconds(50));
+  EXPECT_EQ(f_at, kT + 1 + Microseconds(50));
+  EXPECT_EQ(net.wire_flows(), 0u);
+  // Both starts and G's completion each recompute; F's completion has no
+  // one left to re-share with. Pushes: F, G, then F again at T.
+  EXPECT_EQ(net.fair_share_counters().recomputes, 3u);
+  EXPECT_EQ(net.fair_share_counters().records_pushed, 3u);
+}
+
+TEST(RackFabricTest, UnchangedCompletionRecordsAreKeptOnAStaggeredRackRun) {
+  // 256 nodes in 8 racks at 4:1, every node streaming four staggered 2 MB
+  // chunks across racks: each start or finish re-fills a large component,
+  // but most of its flows keep their rate, so most refreshes are no-ops.
+  sim::Simulator sim;
+  RackFabric net(sim, RackConfig(256, 8, 4.0));
+  Rng rng(7);
+  int delivered = 0;
+  for (NodeID src = 0; src < 256; ++src) {
+    const NodeID dst = (src + 37) % 256;
+    for (int chunk = 0; chunk < 4; ++chunk) {
+      const SimTime at = rng.NextInRange(0, Milliseconds(10));
+      sim.ScheduleAt(at, [&net, &delivered, src, dst] {
+        net.Send(src, dst, MB(2), [&delivered] { ++delivered; });
+      });
+    }
+  }
+  sim.Run();
+  EXPECT_EQ(delivered, 256 * 4);
+  const RackFabric::FairShareCounters& c = net.fair_share_counters();
+  EXPECT_GT(c.recomputes, 0u);
+  EXPECT_GE(c.fill_rounds, c.recomputes);
+  EXPECT_GE(c.component_flows, c.recomputes);
+  EXPECT_LT(c.records_pushed, c.component_flows)
+      << c.records_pushed << " pushes for " << c.component_flows << " component flows";
 }
 
 }  // namespace
