@@ -413,7 +413,6 @@ void HopliteClient::OnClaimReply(const directory::ClaimReply& reply) {
 
   session.claiming = false;
   session.sender = reply.sender;
-  session.sender_chain = reply.sender_chain;
   session.object_size = reply.object_size;
   const std::uint32_t epoch = session.expected_epoch;
 

@@ -287,7 +287,6 @@ class HopliteClient {
   struct FetchSession {
     ObjectID object;
     NodeID sender = kInvalidNode;  ///< invalid while (re-)claiming
-    std::vector<NodeID> sender_chain;
     std::int64_t object_size = -1;
     std::uint32_t expected_epoch = 0;
     bool claiming = true;

@@ -16,6 +16,16 @@ template <typename Records>
                           [](const auto& rec, NodeID n) { return rec.node < n; });
 }
 
+void InsertSorted(std::vector<NodeID>& nodes, NodeID node) {
+  nodes.insert(std::lower_bound(nodes.begin(), nodes.end(), node), node);
+}
+
+void EraseSorted(std::vector<NodeID>& nodes, NodeID node) {
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), node);
+  HOPLITE_CHECK(it != nodes.end() && *it == node) << "node " << node << " not indexed";
+  nodes.erase(it);
+}
+
 /// SplitMix64 finalizer: turns an object id into a well-mixed scan offset so
 /// PickSender's rotation start is deterministic per object but uncorrelated
 /// with the id's low bits (which also pick the shard).
@@ -60,14 +70,60 @@ std::pair<ObjectDirectory::Location*, bool> ObjectDirectory::ObjectEntry::AddLoc
   auto it = LowerBound(locations, node);
   if (it != locations.end() && it->node == node) return {&it->loc, false};
   it = locations.insert(it, LocationRecord{node, Location{}});
+  InsertSorted(available, node);
   return {&it->loc, true};
 }
 
 bool ObjectDirectory::ObjectEntry::RemoveLocation(NodeID node) {
   const auto it = LowerBound(locations, node);
   if (it == locations.end() || it->node != node) return false;
+  if (it->loc.state != LocationState::kBusy) EraseSorted(available, node);
+  ClearChain(it->loc);
   locations.erase(it);
   return true;
+}
+
+void ObjectDirectory::ObjectEntry::MarkBusy(NodeID node, Location& loc, NodeID receiver) {
+  if (loc.state != LocationState::kBusy) EraseSorted(available, node);
+  loc.state = LocationState::kBusy;
+  loc.serving = receiver;
+}
+
+void ObjectDirectory::ObjectEntry::Release(NodeID node, Location& loc) {
+  if (loc.state == LocationState::kBusy) InsertSorted(available, node);
+  loc.state = loc.AvailableState();
+  loc.serving = kInvalidNode;
+}
+
+void ObjectDirectory::ObjectEntry::Extend(Location& loc, NodeID sender,
+                                          ChainHead sender_chain) {
+  HOPLITE_CHECK_LT(links.size(), static_cast<std::size_t>(INT32_MAX));
+  links.push_back(ChainLink{sender, sender_chain});
+  const auto slot = static_cast<std::size_t>(sender);
+  if (linked.size() <= slot) linked.resize(slot + 1);
+  linked[slot] = true;
+  if (loc.chain == kNoChain) ++chained;
+  loc.chain = static_cast<ChainHead>(links.size() - 1);
+}
+
+void ObjectDirectory::ObjectEntry::ClearChain(Location& loc) {
+  if (loc.chain == kNoChain) return;
+  loc.chain = kNoChain;
+  if (--chained == 0) {
+    links.clear();
+    linked.clear();
+  }
+}
+
+bool ObjectDirectory::ObjectEntry::ChainHas(ChainHead head, NodeID node,
+                                            std::uint64_t& walked) const {
+  const auto slot = static_cast<std::size_t>(node);
+  if (slot >= linked.size() || !linked[slot]) return false;  // also rejects node < 0
+  for (ChainHead h = head; h != kNoChain; h = links[static_cast<std::size_t>(h)].up) {
+    ++walked;
+    if (links[static_cast<std::size_t>(h)].node == node) return true;
+  }
+  return false;
 }
 
 ObjectDirectory::ObjectDirectory(net::Fabric& network, DirectoryConfig config)
@@ -97,7 +153,7 @@ void ObjectDirectory::MarkComplete(ObjectID object, NodeID node) {
     ObjectEntry& entry = obj_it->second;
     Location* loc = entry.FindLocation(node);
     if (loc == nullptr) return;  // removed concurrently (failure)
-    loc->chain.clear();
+    entry.ClearChain(*loc);
     loc->complete = true;
     if (loc->state != LocationState::kBusy) {
       loc->state = LocationState::kAvailableComplete;
@@ -128,7 +184,7 @@ void ObjectDirectory::RegisterCachedCopy(ObjectID object, NodeID node,
     interests_.Resolve(object);
     const auto [loc, inserted] = entry.AddLocation(node);
     loc->complete = true;
-    loc->chain.clear();
+    entry.ClearChain(*loc);
     loc->fetch_origin = false;
     if (loc->state != LocationState::kBusy) {
       loc->state = LocationState::kAvailableComplete;
@@ -215,13 +271,16 @@ void ObjectDirectory::DeleteObject(ObjectID object,
 }
 
 NodeID ObjectDirectory::PickSender(ObjectID object, const ObjectEntry& entry,
-                                   NodeID receiver) const {
+                                   NodeID receiver) {
   // Rotated scan of the sorted table: the start index is a deterministic
   // per-object hash, so different hot objects spread their copy-serving
   // load across replicas instead of every claim landing on the lowest node
   // id. From the rotated start, the first available complete copy wins;
   // failing that, the first available partial copy whose chain does not
   // contain the receiver (granting one would create a cyclic fetch, §3.5.1).
+  // Busy copies are never candidates, so the scan walks the available index
+  // from the first node at or after the rotated start, wrapping around:
+  // the same visit order as the full table with the busy records left out.
   // Under coalescing, fetch-origin partials are skipped entirely: a copy
   // that is itself still being fetched is the pending interest later
   // claimants attach to, not a sender — the fan-out tree grows only from
@@ -229,22 +288,27 @@ NodeID ObjectDirectory::PickSender(ObjectID object, const ObjectEntry& entry,
   // written).
   const std::size_t n = entry.locations.size();
   if (n == 0) return kInvalidNode;
+  ++claim_counters_.picks;
   const bool coalesce = coalescing();
-  const std::size_t start =
-      static_cast<std::size_t>(MixForRotation(object.value()) % static_cast<std::uint64_t>(n));
+  const NodeID pivot =
+      entry.locations[static_cast<std::size_t>(MixForRotation(object.value()) %
+                                               static_cast<std::uint64_t>(n))]
+          .node;
+  const std::vector<NodeID>& available = entry.available;
+  const std::size_t m = available.size();
+  const auto start = static_cast<std::size_t>(
+      std::lower_bound(available.begin(), available.end(), pivot) - available.begin());
   NodeID best_partial = kInvalidNode;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& rec = entry.locations[(start + i) % n];
-    if (rec.node == receiver) continue;
-    if (rec.loc.state == LocationState::kBusy) continue;
-    if (rec.loc.state == LocationState::kAvailableComplete) return rec.node;
+  for (std::size_t i = 0; i < m; ++i) {
+    const NodeID node = available[(start + i) % m];
+    ++claim_counters_.candidates_examined;
+    if (node == receiver) continue;
+    const Location& loc = *entry.FindLocation(node);
+    if (loc.state == LocationState::kAvailableComplete) return node;
     if (best_partial != kInvalidNode) continue;
-    if (coalesce && rec.loc.fetch_origin) continue;
-    if (std::find(rec.loc.chain.begin(), rec.loc.chain.end(), receiver) !=
-        rec.loc.chain.end()) {
-      continue;
-    }
-    best_partial = rec.node;
+    if (coalesce && loc.fetch_origin) continue;
+    if (entry.ChainHas(loc.chain, receiver, claim_counters_.links_walked)) continue;
+    best_partial = node;
   }
   return best_partial;
 }
@@ -259,18 +323,19 @@ void ObjectDirectory::Grant(ObjectID object, ObjectEntry& entry, NodeID sender,
   reply.object_size = entry.size;
   reply.sender = sender;
   reply.sender_complete = sender_loc->state == LocationState::kAvailableComplete;
-  reply.sender_chain = sender_loc->chain;
-  reply.sender_chain.push_back(sender);
+  const ChainHead sender_chain = sender_loc->chain;
 
   // One receiver per sender: the granted location leaves the pool (§3.4.1).
-  sender_loc->state = LocationState::kBusy;
-  sender_loc->serving = receiver;
+  entry.MarkBusy(sender, *sender_loc, receiver);
 
   // The receiver becomes a partial location immediately, inheriting the
-  // dependency chain, so later receivers can pipeline from it. (The insert
-  // may reallocate the table — sender_loc is dead past this point.)
+  // dependency chain (the sender's chain plus the sender: one new link), so
+  // later receivers can pipeline from it. A receiver whose copy is already
+  // complete (a re-claim while its copy is busy serving) depends on no one
+  // and keeps an empty chain. (The insert may reallocate the table —
+  // sender_loc is dead past this point.)
   const auto [recv_loc, inserted] = entry.AddLocation(receiver);
-  recv_loc->chain = reply.sender_chain;
+  if (!recv_loc->complete) entry.Extend(*recv_loc, sender, sender_chain);
   recv_loc->fetch_origin = true;
   if (inserted) {
     Publish(object, entry, LocationEvent{object, receiver, entry.size, false, false});
@@ -284,6 +349,9 @@ void ObjectDirectory::Grant(ObjectID object, ObjectEntry& entry, NodeID sender,
 }
 
 void ObjectDirectory::AuditEntry(const ObjectEntry& entry) const {
+  std::vector<NodeID> available;
+  std::size_t chained = 0;
+  std::uint64_t walked = 0;
   for (std::size_t i = 0; i < entry.locations.size(); ++i) {
     const LocationRecord& rec = entry.locations[i];
     if (i > 0) {
@@ -294,13 +362,31 @@ void ObjectDirectory::AuditEntry(const ObjectEntry& entry) const {
     HOPLITE_AUDIT((loc.state == LocationState::kBusy) == (loc.serving != kInvalidNode))
         << "busy/serving mismatch on node " << rec.node;
     HOPLITE_AUDIT(loc.serving != rec.node) << "node " << rec.node << " is serving itself";
+    if (loc.state != LocationState::kBusy) available.push_back(rec.node);
     if (loc.complete) {
-      HOPLITE_AUDIT(loc.chain.empty())
+      HOPLITE_AUDIT(loc.chain == kNoChain)
           << "complete copy on node " << rec.node << " kept a dependency chain";
     }
-    HOPLITE_AUDIT(std::find(loc.chain.begin(), loc.chain.end(), rec.node) ==
-                  loc.chain.end())
+    HOPLITE_AUDIT(loc.chain >= kNoChain &&
+                  loc.chain < static_cast<ChainHead>(entry.links.size()))
+        << "chain head " << loc.chain << " of node " << rec.node << " outside the arena";
+    if (loc.chain != kNoChain) ++chained;
+    HOPLITE_AUDIT(!entry.ChainHas(loc.chain, rec.node, walked))
         << "node " << rec.node << " appears in its own dependency chain";
+  }
+  HOPLITE_AUDIT(entry.available == available) << "available index differs from the non-busy set";
+  HOPLITE_AUDIT(entry.chained == chained)
+      << "(" << entry.chained << " chains counted vs " << chained << " held)";
+  if (chained == 0) {
+    HOPLITE_AUDIT(entry.links.empty() && entry.linked.empty())
+        << "chain arena kept " << entry.links.size() << " links with no chain left";
+  }
+  for (std::size_t i = 0; i < entry.links.size(); ++i) {
+    const ChainLink& link = entry.links[i];
+    HOPLITE_AUDIT(link.up < static_cast<ChainHead>(i)) << "link " << i << " points forward";
+    HOPLITE_AUDIT(static_cast<std::size_t>(link.node) < entry.linked.size() &&
+                  entry.linked[static_cast<std::size_t>(link.node)])
+        << "link " << i << " node " << link.node << " missing from the linked set";
   }
   if (!entry.locations.empty() || entry.is_inline) {
     HOPLITE_AUDIT(entry.size >= 0) << "located object with unknown size";
@@ -490,13 +576,12 @@ void ObjectDirectory::TransferFinished(ObjectID object, NodeID sender, NodeID re
     ObjectEntry& entry = obj_it->second;
     if (Location* loc = entry.FindLocation(sender); loc != nullptr) {
       // The sender returns to the pool with its recorded completeness.
-      loc->state = loc->AvailableState();
-      loc->serving = kInvalidNode;
+      entry.Release(sender, *loc);
       Publish(object, entry,
               LocationEvent{object, sender, entry.size, loc->complete, false});
     }
     if (Location* loc = entry.FindLocation(receiver); loc != nullptr) {
-      loc->chain.clear();
+      entry.ClearChain(*loc);
       loc->complete = true;
       if (loc->state != LocationState::kBusy) {
         loc->state = LocationState::kAvailableComplete;
@@ -515,8 +600,7 @@ void ObjectDirectory::TransferAborted(ObjectID object, NodeID sender, NodeID rec
     ObjectEntry& entry = obj_it->second;
     if (sender_alive && sender_holds_copy) {
       if (Location* loc = entry.FindLocation(sender); loc != nullptr) {
-        loc->state = loc->AvailableState();
-        loc->serving = kInvalidNode;
+        entry.Release(sender, *loc);
       }
     } else {
       // Dead, or alive with the copy evicted/deleted since the grant: the
@@ -526,7 +610,7 @@ void ObjectDirectory::TransferAborted(ObjectID object, NodeID sender, NodeID rec
     if (Location* loc = entry.FindLocation(receiver); loc != nullptr) {
       // The receiver keeps its prefix but no longer depends on anyone until
       // it re-claims.
-      loc->chain.clear();
+      entry.ClearChain(*loc);
     }
     ServeParked(object);
   });
@@ -557,9 +641,7 @@ ObjectDirectory::SubscriptionId ObjectDirectory::Subscribe(ObjectID object,
       std::vector<LocationEvent> events;
       events.reserve(entry.locations.size());
       for (const auto& rec : entry.locations) {
-        events.push_back(LocationEvent{object, rec.node, entry.size,
-                                       rec.loc.state == LocationState::kAvailableComplete,
-                                       false});
+        events.push_back(LocationEvent{object, rec.node, entry.size, rec.loc.complete, false});
       }
       for (const auto& event : events) cb(event);
     }
@@ -598,8 +680,7 @@ void ObjectDirectory::NodeFailed(NodeID node) {
     // otherwise they would be leaked as busy forever.
     for (auto& rec : entry.locations) {
       if (rec.loc.state == LocationState::kBusy && rec.loc.serving == node) {
-        rec.loc.state = rec.loc.AvailableState();
-        rec.loc.serving = kInvalidNode;
+        entry.Release(rec.node, rec.loc);
       }
     }
     auto& parked = entry.parked;
@@ -632,6 +713,20 @@ std::optional<LocationState> ObjectDirectory::StateOf(ObjectID object, NodeID no
   const Location* loc = it->second.FindLocation(node);
   if (loc == nullptr) return std::nullopt;
   return loc->state;
+}
+
+std::vector<NodeID> ObjectDirectory::ChainOf(ObjectID object, NodeID node) const {
+  std::vector<NodeID> chain;
+  auto it = objects_.find(object);
+  if (it == objects_.end()) return chain;
+  const ObjectEntry& entry = it->second;
+  const Location* loc = entry.FindLocation(node);
+  if (loc == nullptr) return chain;
+  for (ChainHead h = loc->chain; h != kNoChain; h = entry.links[static_cast<std::size_t>(h)].up) {
+    chain.push_back(entry.links[static_cast<std::size_t>(h)].node);
+  }
+  std::reverse(chain.begin(), chain.end());
+  return chain;
 }
 
 std::vector<NodeID> ObjectDirectory::LocationsOf(ObjectID object) const {

@@ -29,6 +29,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -83,9 +84,6 @@ struct ClaimReply {
   NodeID sender = kInvalidNode;
   /// Whether the granted sender holds a complete copy.
   bool sender_complete = false;
-  /// The sender's upstream dependency chain, including the sender itself;
-  /// the receiver inherits this chain plus the sender.
-  std::vector<NodeID> sender_chain;
 };
 
 /// A location update published to subscribers.
@@ -96,6 +94,13 @@ struct LocationEvent {
   bool complete = false;
   bool removed = false;    ///< location disappeared (failure or Delete)
   bool is_inline = false;  ///< object lives in the directory's inline cache
+};
+
+/// Exact work counters of the claim path (PickSender), for benches and tests.
+struct ClaimCounters {
+  std::uint64_t picks = 0;                ///< PickSender calls on a located object
+  std::uint64_t candidates_examined = 0;  ///< available copies visited by those picks
+  std::uint64_t links_walked = 0;         ///< chain links visited by cycle checks
 };
 
 /// The directory service. One logical instance serves the whole cluster;
@@ -210,6 +215,9 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   [[nodiscard]] bool HasObject(ObjectID object) const;
   [[nodiscard]] std::optional<std::int64_t> SizeOf(ObjectID object) const;
   [[nodiscard]] std::optional<LocationState> StateOf(ObjectID object, NodeID node) const;
+  /// `node`'s upstream dependency chain for `object`, root first and ending
+  /// at the node it fetches from; empty when it has none or holds no copy.
+  [[nodiscard]] std::vector<NodeID> ChainOf(ObjectID object, NodeID node) const;
   [[nodiscard]] std::vector<NodeID> LocationsOf(ObjectID object) const;
   [[nodiscard]] bool IsInline(ObjectID object) const;
   [[nodiscard]] NodeID ShardOf(ObjectID object) const;
@@ -221,6 +229,9 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
 
   /// Total directory operations served (reads + writes), for benches.
   [[nodiscard]] std::uint64_t ops_served() const noexcept { return ops_served_; }
+
+  /// Claim-path work counters (picks, copies examined, chain links walked).
+  [[nodiscard]] const ClaimCounters& claim_counters() const noexcept { return claim_counters_; }
 
   /// Request-coalescing counters (windows opened/resolved, claims attached).
   [[nodiscard]] const cache::InterestStats& interest_stats() const noexcept {
@@ -234,26 +245,39 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
 
   /// Full table-shape walk (audit builds; also directly callable from tests):
   /// every location table sorted strictly ascending, busy/serving bits
-  /// cross-consistent, complete copies with empty chains, no copy in its own
+  /// cross-consistent, the available index equal to the non-busy set,
+  /// complete copies with empty chains, chain heads inside the link arena
+  /// (which is empty when no copy holds a chain), no copy in its own
   /// dependency chain, subscriber lists in id order.
   void AuditDirectory() const;
 
  private:
+  /// Index into ObjectEntry::links; kNoChain is the empty chain.
+  using ChainHead = std::int32_t;
+  static constexpr ChainHead kNoChain = -1;
+
   struct Location {
     LocationState state = LocationState::kAvailablePartial;
-    bool complete = false;      ///< the single progress bit of §3.2
-    std::vector<NodeID> chain;  ///< upstream dependencies, empty if complete
-    NodeID serving = kInvalidNode;  ///< receiver being served while kBusy
+    bool complete = false;  ///< the single progress bit of §3.2
     /// True when the copy was created by a fetch grant (it fills via the
     /// transfer protocol); false when locally produced (Put, reduce sink).
     /// Claims by the holder itself resolve locally only for locally-produced
     /// or complete copies — a stalled fetch partial needs an external sender.
     bool fetch_origin = false;
+    NodeID serving = kInvalidNode;  ///< receiver being served while kBusy
+    ChainHead chain = kNoChain;     ///< upstream dependencies, empty if complete
 
     [[nodiscard]] LocationState AvailableState() const noexcept {
       return complete ? LocationState::kAvailableComplete
                       : LocationState::kAvailablePartial;
     }
+  };
+  /// One link of a dependency chain: `node` is the copy fetched from, `up`
+  /// the chain that copy itself inherited. Links are immutable once pushed,
+  /// so chains share their common prefixes.
+  struct ChainLink {
+    NodeID node = kInvalidNode;
+    ChainHead up = kNoChain;
   };
   struct ParkedClaim {
     NodeID receiver = kInvalidNode;
@@ -272,16 +296,29 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
     NodeID node = kInvalidNode;
     Location loc;
   };
+  static_assert(std::is_trivially_copyable_v<LocationRecord>,
+                "table inserts and erases must move records as plain bytes");
   struct ObjectEntry {
     std::int64_t size = -1;  ///< -1 until first registration
     bool is_inline = false;
     store::Buffer inline_payload;
-    /// Sorted by node id. The location table is scanned far more often than
-    /// it is mutated (every claim walks it; cluster-wide ops walk it per
-    /// object), so a flat sorted vector beats a node-keyed hash map: scans
-    /// are contiguous, and iteration order is deterministic by construction
-    /// instead of by hash-table accident.
+    /// Sorted by node id. Claims never walk it (they walk `available`);
+    /// cluster-wide ops walk it per object. A flat sorted vector of trivially
+    /// copyable records keeps lookups a binary search, inserts a memmove, and
+    /// iteration order deterministic by construction instead of by
+    /// hash-table accident.
     std::vector<LocationRecord> locations;
+    /// Sorted node ids of the locations that are not kBusy: the copies a
+    /// claim may be granted. Kept in step with every busy<->available change.
+    std::vector<NodeID> available;
+    /// Append-only arena holding every dependency chain of this object.
+    std::vector<ChainLink> links;
+    /// linked[n] is set when node n appears in some link; a receiver that
+    /// was never a sender cannot be in any chain, so its cycle check is free.
+    std::vector<bool> linked;
+    /// Locations whose chain is not kNoChain. The arena is cleared when this
+    /// drops to zero, so its size stays bounded by one broadcast's grants.
+    std::size_t chained = 0;
     std::deque<ParkedClaim> parked;
     /// Sorted by subscription id (ids are handed out in increasing order and
     /// only ever appended, so insertion order == id order).
@@ -290,11 +327,22 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
     /// Binary-search lookup; nullptr if `node` holds no copy.
     [[nodiscard]] Location* FindLocation(NodeID node);
     [[nodiscard]] const Location* FindLocation(NodeID node) const;
-    /// Inserts (sorted) or finds the record for `node`; second is true when
-    /// newly inserted.
+    /// Inserts (sorted, available partial) or finds the record for `node`;
+    /// second is true when newly inserted.
     std::pair<Location*, bool> AddLocation(NodeID node);
     /// Removes `node`'s record; returns whether it existed.
     bool RemoveLocation(NodeID node);
+    /// Takes `node`'s copy out of the pool to serve `receiver`.
+    void MarkBusy(NodeID node, Location& loc, NodeID receiver);
+    /// Returns `node`'s copy to the pool with its recorded completeness.
+    void Release(NodeID node, Location& loc);
+    /// Points `loc` at a new chain: `sender` on top of `sender_chain`.
+    void Extend(Location& loc, NodeID sender, ChainHead sender_chain);
+    /// Empties `loc`'s chain, dropping the arena once no chain is left.
+    void ClearChain(Location& loc);
+    /// True when `node` appears in the chain starting at `head`; adds the
+    /// links visited to `walked`.
+    [[nodiscard]] bool ChainHas(ChainHead head, NodeID node, std::uint64_t& walked) const;
   };
 
   /// Applies a mutation after the directory write latency.
@@ -306,10 +354,13 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   /// Picks the best available sender for `receiver`, or kInvalidNode. The
   /// scan starts at a deterministic per-object rotation of the sorted table
   /// so copy-serving load spreads across replicas instead of always landing
-  /// on the lowest node id. Under coalescing, fetch-origin partials are not
-  /// grantable: their claimants attach to the in-flight fetch instead.
-  [[nodiscard]] NodeID PickSender(ObjectID object, const ObjectEntry& entry,
-                                  NodeID receiver) const;
+  /// on the lowest node id, and visits only the available index (busy copies
+  /// are never candidates), so a claim costs the copies it could be granted,
+  /// not the table size. The cycle check walks the chain arena only for
+  /// receivers that ever served a copy. Under coalescing, fetch-origin
+  /// partials are not grantable: their claimants attach to the in-flight
+  /// fetch instead.
+  [[nodiscard]] NodeID PickSender(ObjectID object, const ObjectEntry& entry, NodeID receiver);
 
   /// True when the cluster runs with request coalescing enabled.
   [[nodiscard]] bool coalescing() const noexcept { return network_.config().cache.coalescing; }
@@ -344,6 +395,7 @@ class HOPLITE_DOMAIN_CONFINED ObjectDirectory {
   cache::InterestTable interests_;
   SubscriptionId next_subscription_ = 1;
   std::uint64_t ops_served_ = 0;
+  ClaimCounters claim_counters_;
 };
 
 }  // namespace hoplite::directory

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -66,7 +71,7 @@ TEST_F(DirectoryTest, ClaimGrantsCompleteSenderAndMarksItBusy) {
   EXPECT_TRUE(reply->sender_complete);
   EXPECT_FALSE(reply->inline_payload);
   EXPECT_EQ(reply->object_size, MB(1));
-  EXPECT_EQ(reply->sender_chain, (std::vector<NodeID>{2}));
+  EXPECT_EQ(dir_.ChainOf(obj_, 5), (std::vector<NodeID>{2}));
   // Sender is now busy; receiver self-registered as partial.
   EXPECT_EQ(dir_.StateOf(obj_, 2), LocationState::kBusy);
   EXPECT_EQ(dir_.StateOf(obj_, 5), LocationState::kAvailablePartial);
@@ -98,7 +103,7 @@ TEST_F(DirectoryTest, SecondClaimFallsBackToPartialCopy) {
   EXPECT_EQ(r1->sender, 0);
   EXPECT_EQ(r2->sender, 1);  // the partial copy at R1
   EXPECT_FALSE(r2->sender_complete);
-  EXPECT_EQ(r2->sender_chain, (std::vector<NodeID>{0, 1}));
+  EXPECT_EQ(dir_.ChainOf(obj_, 2), (std::vector<NodeID>{0, 1}));
 }
 
 TEST_F(DirectoryTest, TransferFinishedReturnsSenderToPoolAndCompletesReceiver) {
@@ -195,6 +200,30 @@ TEST_F(DirectoryTest, ClaimNeverGrantsSenderWhoseChainContainsReceiver) {
   EXPECT_EQ(reply->sender, 2);
 }
 
+TEST_F(DirectoryTest, ReClaimByBusyCompleteCopyRecordsNoChain) {
+  // Node 1 fetches a complete copy, then both complete copies go busy
+  // serving nodes 2 and 3. A re-claim by node 1 is granted a partial, but a
+  // complete copy depends on no one: its chain must stay empty.
+  dir_.RegisterPartial(obj_, 0, MB(1));
+  dir_.MarkComplete(obj_, 0);
+  dir_.ClaimSender(obj_, 1, [](const ClaimReply&) {});
+  sim_.Run();
+  dir_.TransferFinished(obj_, 0, 1);
+  dir_.ClaimSender(obj_, 2, [](const ClaimReply&) {});
+  dir_.ClaimSender(obj_, 3, [](const ClaimReply&) {});
+  sim_.Run();
+  ASSERT_EQ(dir_.StateOf(obj_, 0), LocationState::kBusy);
+  ASSERT_EQ(dir_.StateOf(obj_, 1), LocationState::kBusy);
+  std::optional<ClaimReply> reply;
+  dir_.ClaimSender(obj_, 1, [&](const ClaimReply& r) { reply = r; });
+  sim_.Run();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->local_copy);
+  EXPECT_TRUE(reply->sender == 2 || reply->sender == 3) << reply->sender;
+  EXPECT_TRUE(dir_.ChainOf(obj_, 1).empty());
+  dir_.AuditDirectory();
+}
+
 TEST_F(DirectoryTest, InlineSmallObjectServedFromDirectory) {
   const auto payload = store::Buffer::FromValues({1, 2, 3, 4});
   bool stored = false;
@@ -238,6 +267,24 @@ TEST_F(DirectoryTest, SubscriptionPublishesCurrentAndFutureLocations) {
   ASSERT_EQ(events.size(), 3u);
   EXPECT_TRUE(events[1].complete);
   EXPECT_EQ(events[2].node, 3);
+}
+
+TEST_F(DirectoryTest, SubscriptionSnapshotReportsBusyCompleteCopyAsComplete) {
+  // The snapshot carries the progress bit, not the availability state: a
+  // complete copy that is busy serving a receiver is still complete.
+  dir_.RegisterPartial(obj_, 2, MB(1));
+  dir_.MarkComplete(obj_, 2);
+  dir_.ClaimSender(obj_, 5, [](const ClaimReply&) {});
+  sim_.Run();
+  ASSERT_EQ(dir_.StateOf(obj_, 2), LocationState::kBusy);
+  std::vector<LocationEvent> events;
+  dir_.Subscribe(obj_, [&](const LocationEvent& e) { events.push_back(e); });
+  sim_.Run();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].node, 2);
+  EXPECT_TRUE(events[0].complete);
+  EXPECT_EQ(events[1].node, 5);
+  EXPECT_FALSE(events[1].complete);
 }
 
 TEST_F(DirectoryTest, UnsubscribeStopsEvents) {
@@ -370,6 +417,358 @@ TEST_F(DirectoryTest, DeleteWhileClaimReadInFlightParksOnTheFreshEntry) {
   sim_.Run();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->sender, 7);
+}
+
+TEST(DirectoryScaleTest, StaggeredWideBroadcastClaimsExamineOnlyAvailableCopies) {
+  // 4095 receivers claim one 32 MB object from node 0, ready over 10 ms.
+  // Every grant pipelines off the chain tail, so all copies but one are busy
+  // during the claims: a claim must examine the available copies only.
+  constexpr int kReceivers = 4095;
+  constexpr std::int64_t kBytes = MB(32);
+  sim::Simulator sim;
+  net::ClusterConfig cfg;
+  cfg.num_nodes = kReceivers + 1;
+  net::NetworkModel net(sim, cfg);
+  ObjectDirectory dir(net, DirectoryConfig{});
+  const ObjectID object = ObjectID::FromName("wide");
+  dir.RegisterPartial(object, 0, kBytes);
+  dir.MarkComplete(object, 0);
+  const SimDuration object_time = TransferTime(kBytes, cfg.nic_bandwidth);
+  const SimDuration chunk_time = TransferTime(MB(4), cfg.nic_bandwidth);
+  std::vector<SimTime> finished(kReceivers + 1, 0);
+  Rng rng(1);
+  int granted = 0;
+  std::size_t longest_chain = 0;
+  for (NodeID r = 1; r <= kReceivers; ++r) {
+    sim.ScheduleAt(rng.NextInRange(0, Milliseconds(10) - 1), [&, r] {
+      dir.ClaimSender(object, r, [&, r](const ClaimReply& reply) {
+        ++granted;
+        longest_chain = std::max(longest_chain, dir.ChainOf(object, r).size());
+        const NodeID sender = reply.sender;
+        const SimTime done = std::max(sim.Now() + object_time,
+                                      finished[static_cast<std::size_t>(sender)] + chunk_time);
+        finished[static_cast<std::size_t>(r)] = done;
+        sim.ScheduleAt(done, [&dir, object, sender, r] {
+          dir.TransferFinished(object, sender, r);
+        });
+      });
+    });
+  }
+  sim.Run();
+  ASSERT_EQ(granted, kReceivers);
+  EXPECT_GT(longest_chain, 1000u) << "the staggered claims should pipeline as one chain";
+  const ClaimCounters& counters = dir.claim_counters();
+  EXPECT_EQ(counters.picks, static_cast<std::uint64_t>(kReceivers));
+  EXPECT_LE(counters.candidates_examined, 2 * counters.picks);
+  for (NodeID n = 0; n <= kReceivers; ++n) {
+    ASSERT_EQ(dir.StateOf(object, n), LocationState::kAvailableComplete) << "node " << n;
+    ASSERT_TRUE(dir.ChainOf(object, n).empty()) << "node " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: a reference claim path — a full rotated scan of the
+// location table and one std::vector chain per location — replayed op by op
+// against the real directory, which walks an available-copy index and a
+// shared chain arena instead.
+// ---------------------------------------------------------------------------
+
+/// What one claim resolved to, in callback order.
+struct ClaimOutcome {
+  NodeID receiver = kInvalidNode;
+  NodeID sender = kInvalidNode;
+  bool local_copy = false;
+  bool sender_complete = false;
+
+  bool operator==(const ClaimOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ClaimOutcome& c) {
+  return os << "{receiver " << c.receiver << " sender " << c.sender << " local "
+            << c.local_copy << " complete " << c.sender_complete << "}";
+}
+
+/// Test-local reference model of one non-inline object's directory entry.
+class ReferenceEntry {
+ public:
+  struct Loc {
+    LocationState state = LocationState::kAvailablePartial;
+    bool complete = false;
+    bool fetch_origin = false;
+    NodeID serving = kInvalidNode;
+    std::vector<NodeID> chain;
+
+    [[nodiscard]] LocationState AvailableState() const {
+      return complete ? LocationState::kAvailableComplete : LocationState::kAvailablePartial;
+    }
+    void Release() {
+      state = AvailableState();
+      serving = kInvalidNode;
+    }
+  };
+
+  ReferenceEntry(ObjectID object, bool coalescing) : object_(object), coalescing_(coalescing) {}
+
+  void RegisterPartial(NodeID node) {
+    exists_ = true;
+    sized_ = true;
+    if (locations_.count(node) > 0) return;
+    locations_.emplace(node, Loc{});
+    ServeParked();
+  }
+  void MarkComplete(NodeID node) {
+    if (!exists_) return;
+    auto it = locations_.find(node);
+    if (it == locations_.end()) return;
+    it->second.chain.clear();
+    it->second.complete = true;
+    if (it->second.state != LocationState::kBusy) {
+      it->second.state = LocationState::kAvailableComplete;
+    }
+    ServeParked();
+  }
+  void RegisterCachedCopy(NodeID node) {
+    if (!exists_) return;
+    Loc& loc = locations_[node];
+    loc.complete = true;
+    loc.chain.clear();
+    loc.fetch_origin = false;
+    if (loc.state != LocationState::kBusy) loc.state = LocationState::kAvailableComplete;
+    ServeParked();
+  }
+  void RemoveLocation(NodeID node) {
+    if (exists_) locations_.erase(node);
+  }
+  void Claim(NodeID receiver) {
+    exists_ = true;
+    if (IsLocal(receiver)) {
+      outcomes_.push_back(ClaimOutcome{receiver, receiver, true, false});
+      return;
+    }
+    if (const NodeID sender = PickSender(receiver); sender != kInvalidNode) {
+      Grant(sender, receiver);
+      return;
+    }
+    parked_.push_back(receiver);
+  }
+  void TransferFinished(NodeID sender, NodeID receiver) {
+    if (!exists_) return;
+    if (auto it = locations_.find(sender); it != locations_.end()) it->second.Release();
+    if (auto it = locations_.find(receiver); it != locations_.end()) {
+      it->second.chain.clear();
+      it->second.complete = true;
+      if (it->second.state != LocationState::kBusy) {
+        it->second.state = LocationState::kAvailableComplete;
+      }
+    }
+    ServeParked();
+  }
+  void TransferAborted(NodeID sender, NodeID receiver, bool sender_alive, bool holds_copy) {
+    if (!exists_) return;
+    if (sender_alive && holds_copy) {
+      if (auto it = locations_.find(sender); it != locations_.end()) it->second.Release();
+    } else {
+      locations_.erase(sender);
+    }
+    if (auto it = locations_.find(receiver); it != locations_.end()) it->second.chain.clear();
+    ServeParked();
+  }
+  void NodeFailed(NodeID node) {
+    if (!exists_) return;
+    locations_.erase(node);
+    for (auto& [n, loc] : locations_) {
+      if (loc.state == LocationState::kBusy && loc.serving == node) loc.Release();
+    }
+    parked_.erase(std::remove(parked_.begin(), parked_.end(), node), parked_.end());
+    ServeParked();
+  }
+
+  [[nodiscard]] const Loc* Find(NodeID node) const {
+    const auto it = locations_.find(node);
+    return it == locations_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] const std::vector<ClaimOutcome>& outcomes() const { return outcomes_; }
+  [[nodiscard]] bool sized() const { return sized_; }
+
+ private:
+  [[nodiscard]] bool IsLocal(NodeID receiver) const {
+    const Loc* self = Find(receiver);
+    return self != nullptr &&
+           (!self->fetch_origin || self->state == LocationState::kAvailableComplete);
+  }
+
+  // The pre-index scan: every location visited from the rotated start.
+  [[nodiscard]] NodeID PickSender(NodeID receiver) const {
+    std::vector<std::pair<NodeID, const Loc*>> table;
+    for (const auto& [node, loc] : locations_) table.emplace_back(node, &loc);
+    const std::size_t n = table.size();
+    if (n == 0) return kInvalidNode;
+    std::uint64_t x = object_.value() + 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    const std::size_t start = static_cast<std::size_t>((x ^ (x >> 31)) % n);
+    NodeID best_partial = kInvalidNode;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& [node, loc] = table[(start + i) % n];
+      if (node == receiver) continue;
+      if (loc->state == LocationState::kBusy) continue;
+      if (loc->state == LocationState::kAvailableComplete) return node;
+      if (best_partial != kInvalidNode) continue;
+      if (coalescing_ && loc->fetch_origin) continue;
+      if (std::find(loc->chain.begin(), loc->chain.end(), receiver) != loc->chain.end()) {
+        continue;
+      }
+      best_partial = node;
+    }
+    return best_partial;
+  }
+
+  void Grant(NodeID sender, NodeID receiver) {
+    Loc& from = locations_.at(sender);
+    std::vector<NodeID> chain = from.chain;
+    chain.push_back(sender);
+    outcomes_.push_back(ClaimOutcome{receiver, sender, false,
+                                     from.state == LocationState::kAvailableComplete});
+    from.state = LocationState::kBusy;
+    from.serving = receiver;
+    Loc& to = locations_[receiver];
+    if (!to.complete) to.chain = std::move(chain);
+    to.fetch_origin = true;
+  }
+
+  void ServeParked() {
+    while (!parked_.empty()) {
+      const NodeID receiver = parked_.front();
+      if (IsLocal(receiver)) {
+        parked_.pop_front();
+        outcomes_.push_back(ClaimOutcome{receiver, receiver, true, false});
+        continue;
+      }
+      const NodeID sender = PickSender(receiver);
+      if (sender == kInvalidNode) return;
+      parked_.pop_front();
+      Grant(sender, receiver);
+    }
+  }
+
+  ObjectID object_;
+  bool coalescing_;
+  bool exists_ = false;
+  bool sized_ = false;
+  std::map<NodeID, Loc> locations_;
+  std::deque<NodeID> parked_;
+  std::vector<ClaimOutcome> outcomes_;
+};
+
+void RunDifferentialSequence(std::uint64_t seed) {
+  constexpr int kNodes = 12;
+  constexpr int kOps = 80;
+  Rng rng(seed);
+  const bool coalescing = seed % 2 == 1;
+  sim::Simulator sim;
+  net::ClusterConfig cfg;
+  cfg.num_nodes = kNodes;
+  cfg.cache.coalescing = coalescing;
+  net::NetworkModel net(sim, cfg);
+  ObjectDirectory dir(net, DirectoryConfig{});
+  const std::vector<ObjectID> objects{ObjectID::FromName("oracle-a"),
+                                      ObjectID::FromName("oracle-b")};
+  std::vector<ReferenceEntry> model;
+  std::vector<std::vector<ClaimOutcome>> got(objects.size());
+  for (const ObjectID object : objects) model.emplace_back(object, coalescing);
+  struct Transfer {
+    std::size_t object;
+    NodeID sender;
+    NodeID receiver;
+  };
+  std::vector<Transfer> in_flight;
+  const auto node = [&] { return static_cast<NodeID>(rng.NextBounded(kNodes)); };
+  // A granted transfer half the time, otherwise an arbitrary (often stale) pair.
+  const auto transfer = [&](std::size_t o) {
+    if (!in_flight.empty() && rng.NextBounded(2) == 0) {
+      const std::size_t i = rng.NextBounded(in_flight.size());
+      const Transfer t = in_flight[i];
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(i));
+      return t;
+    }
+    return Transfer{o, node(), node()};
+  };
+
+  for (int op = 0; op < kOps; ++op) {
+    const std::size_t o = rng.NextBounded(objects.size());
+    const ObjectID object = objects[o];
+    std::uint64_t kind = rng.NextBounded(100);
+    // A cached copy is of an inline object, whose size is always known.
+    if (kind >= 94 && !model[o].sized()) kind = 0;
+    std::ostringstream what;
+    if (kind < 12) {
+      const NodeID n = node();
+      what << "RegisterPartial " << n;
+      dir.RegisterPartial(object, n, MB(1));
+      model[o].RegisterPartial(n);
+    } else if (kind < 20) {
+      const NodeID n = node();
+      what << "MarkComplete " << n;
+      dir.MarkComplete(object, n);
+      model[o].MarkComplete(n);
+    } else if (kind < 50) {
+      const NodeID r = node();
+      what << "ClaimSender " << r;
+      dir.ClaimSender(object, r, [&got, &in_flight, o, r](const ClaimReply& reply) {
+        got[o].push_back(ClaimOutcome{r, reply.sender, reply.local_copy, reply.sender_complete});
+        if (!reply.local_copy) in_flight.push_back(Transfer{o, reply.sender, r});
+      });
+      model[o].Claim(r);
+    } else if (kind < 68) {
+      const Transfer t = transfer(o);
+      what << "TransferFinished " << t.sender << " -> " << t.receiver;
+      dir.TransferFinished(objects[t.object], t.sender, t.receiver);
+      model[t.object].TransferFinished(t.sender, t.receiver);
+    } else if (kind < 82) {
+      const Transfer t = transfer(o);
+      // Sender alive, dead, or alive without its copy.
+      const std::uint64_t mode = rng.NextBounded(3);
+      what << "TransferAborted " << t.sender << " -> " << t.receiver << " mode " << mode;
+      dir.TransferAborted(objects[t.object], t.sender, t.receiver, mode != 1, mode != 2);
+      model[t.object].TransferAborted(t.sender, t.receiver, mode != 1, mode != 2);
+    } else if (kind < 89) {
+      const NodeID n = node();
+      what << "RemoveLocation " << n;
+      dir.RemoveLocation(object, n);
+      model[o].RemoveLocation(n);
+    } else if (kind < 94) {
+      const NodeID n = node();
+      what << "NodeFailed " << n;
+      dir.NodeFailed(n);
+      for (auto& entry : model) entry.NodeFailed(n);
+    } else {
+      const NodeID n = node();
+      what << "RegisterCachedCopy " << n;
+      dir.RegisterCachedCopy(object, n);
+      model[o].RegisterCachedCopy(n);
+    }
+    sim.Run();
+    dir.AuditDirectory();
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " op " << op << ": " << what.str());
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+      ASSERT_EQ(got[i], model[i].outcomes()) << "object " << i;
+      for (NodeID n = 0; n < kNodes; ++n) {
+        const ReferenceEntry::Loc* loc = model[i].Find(n);
+        ASSERT_EQ(dir.StateOf(objects[i], n),
+                  loc == nullptr ? std::nullopt : std::optional<LocationState>(loc->state))
+            << "object " << i << " node " << n;
+        ASSERT_EQ(dir.ChainOf(objects[i], n), loc == nullptr ? std::vector<NodeID>{} : loc->chain)
+            << "object " << i << " node " << n;
+      }
+    }
+  }
+}
+
+TEST(DirectoryOracleTest, ClaimPathMatchesTheFullScanReference) {
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    RunDifferentialSequence(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
