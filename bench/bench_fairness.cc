@@ -29,8 +29,6 @@
 // within 2x of the baseline cell's.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -109,16 +107,6 @@ std::vector<Row> Run(const RunOptions& opt) {
       double victim_p99 = 0.0;
       for (std::size_t t = 1; t < report.tenants.size(); ++t) {
         victim_p99 = std::max(victim_p99, report.tenants[t].latency.p99);
-      }
-      if (std::getenv("HOPLITE_FAIRNESS_DEBUG") != nullptr) {
-        std::fprintf(stderr, "cell %s int=%g\n", mech.name, intensity);
-        for (std::size_t t = 0; t < report.tenants.size(); ++t) {
-          const workload::TenantLoad& ten = report.tenants[t];
-          std::fprintf(stderr,
-                       "  t%zu offered=%zu completed=%zu failed=%zu p50=%.4fms p99=%.4fms\n",
-                       t, ten.offered, ten.completed, ten.failed,
-                       ten.latency.p50 * 1e3, ten.latency.p99 * 1e3);
-        }
       }
       const workload::TenantLoad& aggressor = report.tenants.at(0);
       const double aggressor_share =

@@ -62,7 +62,4 @@ class HOPLITE_DOMAIN_CONFINED FlatFabric final : public Fabric {
   std::unordered_map<TransferId, InFlight> in_flight_;
 };
 
-/// Historical name of the flat fabric, kept for existing call sites.
-using NetworkModel = FlatFabric;
-
 }  // namespace hoplite::net

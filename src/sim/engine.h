@@ -1,16 +1,18 @@
 // The event-engine interface every layer above the simulator schedules
 // against.
 //
-// Two implementations exist:
+// Two implementations exist, built on one event core — sim::EventQueue
+// (sim/event_queue.h), a slot/heap queue parameterised on its ordering key:
 //
 //   * sim::Simulator (sim/simulator.h) — the single-threaded reference
-//     engine: one heap, global (time, seq) FIFO order, bit-reproducible by
-//     construction. This is the determinism reference.
+//     engine: one queue keyed by global (time, seq) FIFO order,
+//     bit-reproducible by construction. This is the determinism reference.
 //   * sim::ShardedSimulator (sim/sharded_simulator.h) — the rack-partitioned
-//     parallel engine: per-shard event lanes synchronized with conservative
-//     lookahead. A cluster binds to one of its domains and schedules through
-//     the same surface; single-domain workloads reproduce the reference
-//     engine's execution order exactly.
+//     parallel engine: one queue per shard keyed by a derived
+//     (time, parent_step, parent_domain, idx) order, shards synchronized
+//     with conservative lookahead. A cluster binds to one of its domains and
+//     schedules through the same surface; single-domain workloads reproduce
+//     the reference engine's execution order exactly.
 //
 // The interface is deliberately narrow: layers may schedule, cancel and read
 // the clock; driving the loop (Run / RunUntil / RunUntilPredicate) belongs to
@@ -84,7 +86,7 @@ class Engine {
   /// after every executed event.
   virtual bool RunUntilPredicate(const std::function<bool()>& pred) = 0;
 
-  /// Whether any events are pending.
+  /// Whether no live event is pending (cancelled events do not count).
   [[nodiscard]] virtual bool Idle() const = 0;
 
   /// Number of events executed so far (cancelled events excluded). For a

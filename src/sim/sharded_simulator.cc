@@ -73,11 +73,9 @@ SimTime ShardedSimulator::LaneNow(DomainId id) const {
   return shards_[domains_[id]->shard].now;
 }
 
-SimTime ShardedSimulator::ScheduleBase(DomainId id) const { return LaneNow(id); }
-
 EventId ShardedSimulator::LaneScheduleAt(DomainId id, SimTime t, Engine::Callback fn) {
   HOPLITE_CHECK(fn != nullptr);
-  Domain& dst = *domains_[id];
+  const Domain& dst = *domains_[id];
   const ExecContext* ctx = CurrentContext();
   if (ctx == nullptr) {
     // Driver-context (root) schedule: only legal while the engine is parked
@@ -106,7 +104,7 @@ EventId ShardedSimulator::LaneScheduleAt(DomainId id, SimTime t, Engine::Callbac
       << "cross-domain schedule from '" << src.name << "' into '" << dst.name
       << "' violates its declared lookahead";
   if (dst.shard == ctx->shard) {
-    // Same shard: the worker owns the destination heap too; commit directly.
+    // Same shard: the worker owns the destination queue too; commit directly.
     return Commit(dst, t, tb, std::move(fn));
   }
   // Cross-shard: park in the sender's outbox; the record (and its slot) is
@@ -116,27 +114,13 @@ EventId ShardedSimulator::LaneScheduleAt(DomainId id, SimTime t, Engine::Callbac
   return EventId{};
 }
 
-EventId ShardedSimulator::Commit(Domain& dom, SimTime t, TieBreak tb, Engine::Callback fn) {
-  std::uint32_t slot;
-  if (dom.free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(dom.slots.size());
-    dom.slots.emplace_back();
-  } else {
-    slot = dom.free_slots.back();
-    dom.free_slots.pop_back();
-  }
-  Slot& s = dom.slots[slot];
-  ++s.gen;  // gen 0 is reserved for the invalid handle; first use is gen 1
-  s.live = true;
-  s.fn = std::move(fn);
-  Shard& shard = shards_[dom.shard];
-  shard.heap.push_back(Record{t, tb, dom.id, slot, s.gen});
-  std::push_heap(shard.heap.begin(), shard.heap.end(), Later{});
-  return EventId{slot, s.gen};
+EventId ShardedSimulator::Commit(const Domain& dom, SimTime t, TieBreak tb,
+                                 Engine::Callback fn) {
+  return shards_[dom.shard].queue.Push(Key{t, tb}, std::move(fn), dom.id);
 }
 
 bool ShardedSimulator::LaneCancel(DomainId id, EventId ev) {
-  Domain& dom = *domains_[id];
+  const Domain& dom = *domains_[id];
   const ExecContext* ctx = CurrentContext();
   if (ctx == nullptr) {
     HOPLITE_CHECK(!in_window_) << "driver-context cancel during a parallel window";
@@ -145,71 +129,32 @@ bool ShardedSimulator::LaneCancel(DomainId id, EventId ev) {
         << "cross-domain cancel (from '" << domains_[ctx->domain]->name << "' into '"
         << dom.name << "') is outside the sharded-engine contract";
   }
-  if (!ev.IsValid() || ev.slot >= dom.slots.size()) return false;
-  Slot& s = dom.slots[ev.slot];
-  if (s.gen != ev.gen || !s.live) return false;  // fired, cancelled, or reused
-  s.live = false;
-  s.fn = nullptr;
-  dom.free_slots.push_back(ev.slot);
-  Shard& shard = shards_[dom.shard];
-  ++shard.stale;
-  if (shard.stale > shard.heap.size() / 2) {
-    // Sweep: removing stale records never perturbs order (it is fully
-    // determined by (time, tie-break) of live records).
-    auto is_stale = [this](const Record& rec) {
-      const Slot& slot = domains_[rec.domain]->slots[rec.slot];
-      return slot.gen != rec.gen || !slot.live;
-    };
-    shard.heap.erase(std::remove_if(shard.heap.begin(), shard.heap.end(), is_stale),
-                     shard.heap.end());
-    std::make_heap(shard.heap.begin(), shard.heap.end(), Later{});
-    shard.stale = 0;
-  }
-  return true;
+  return shards_[dom.shard].queue.Cancel(ev, id);
 }
 
 // ----------------------------------------------------------------------
 // Execution core.
 // ----------------------------------------------------------------------
 
-const ShardedSimulator::Record* ShardedSimulator::PeekHead(Shard& shard) const {
-  while (!shard.heap.empty()) {
-    const Record& head = shard.heap.front();
-    const Slot& s = domains_[head.domain]->slots[head.slot];
-    if (s.gen == head.gen && s.live) return &head;
-    std::pop_heap(shard.heap.begin(), shard.heap.end(), Later{});
-    shard.heap.pop_back();
-    --shard.stale;
-  }
-  return nullptr;
-}
-
 void ShardedSimulator::ExecuteHead(Shard& shard) {
-  std::pop_heap(shard.heap.begin(), shard.heap.end(), Later{});
-  const Record rec = shard.heap.back();
-  shard.heap.pop_back();
-  Domain& dom = *domains_[rec.domain];
-  Slot& s = dom.slots[rec.slot];
-  Engine::Callback fn = std::move(s.fn);
-  s.live = false;
-  s.fn = nullptr;
-  dom.free_slots.push_back(rec.slot);
-  HOPLITE_CHECK_GE(rec.time, shard.now);
-  shard.now = rec.time;
+  EventQueue<Key>::Fired ev = shard.queue.Pop();
+  HOPLITE_CHECK_GE(ev.key.time, shard.now);
+  shard.now = ev.key.time;
   ++shard.executed;
+  Domain& dom = *domains_[ev.owner];
   const std::uint64_t step = dom.executed++;
   if constexpr (audit::kEnabled) {
     if ((shard.executed & (kAuditPeriod - 1)) == 0) AuditShard(shard);
   }
   ExecContext saved = tls_ctx_;
-  tls_ctx_ = ExecContext{this, rec.domain, dom.shard, step, 0, rec.time};
-  fn();
+  tls_ctx_ = ExecContext{this, ev.owner, dom.shard, step, 0, ev.key.time};
+  ev.fn();
   tls_ctx_ = saved;
 }
 
 void ShardedSimulator::RunWindow(Shard& shard) {
-  for (const Record* head = PeekHead(shard);
-       head != nullptr && head->time < shard.horizon; head = PeekHead(shard)) {
+  for (const Key* head = shard.queue.Peek(); head != nullptr && head->time < shard.horizon;
+       head = shard.queue.Peek()) {
     ExecuteHead(shard);
   }
 }
@@ -235,7 +180,7 @@ bool ShardedSimulator::WindowStep() {
   std::vector<Head> heads(shards_.size());
   bool any = false;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (const Record* head = PeekHead(shards_[s]); head != nullptr) {
+    if (const Key* head = shards_[s].queue.Peek(); head != nullptr) {
       heads[s] = Head{true, head->time};
       any = true;
     }
@@ -341,12 +286,11 @@ void ShardedSimulator::Run() {
 
 ShardedSimulator::Shard* ShardedSimulator::FindGlobalHead() {
   Shard* best = nullptr;
-  const Record* best_head = nullptr;
+  const Key* best_head = nullptr;
   for (Shard& shard : shards_) {
-    const Record* head = PeekHead(shard);
+    const Key* head = shard.queue.Peek();
     if (head == nullptr) continue;
-    if (best_head == nullptr || head->time < best_head->time ||
-        (head->time == best_head->time && head->tb < best_head->tb)) {
+    if (best_head == nullptr || *head < *best_head) {
       best = &shard;
       best_head = head;
     }
@@ -354,13 +298,13 @@ ShardedSimulator::Shard* ShardedSimulator::FindGlobalHead() {
   return best;
 }
 
-bool ShardedSimulator::SequencedStep() {
+bool ShardedSimulator::SequencedStep(SimTime deadline) {
   // Pick the globally least head by (time, tie-break) and run just that
   // event on the caller thread; deliver any mail it produced immediately.
   // Equivalent to windowed execution under the domain-isolation contract,
   // and exactly the reference engine's order for single-domain workloads.
   Shard* best = FindGlobalHead();
-  if (best == nullptr) return false;
+  if (best == nullptr || best->queue.Peek()->time > deadline) return false;
   ExecuteHead(*best);
   DrainMail();
   total_executed_ += best->executed;
@@ -370,13 +314,7 @@ bool ShardedSimulator::SequencedStep() {
 
 void ShardedSimulator::RunUntil(SimTime deadline) {
   HOPLITE_CHECK(CurrentContext() == nullptr) << "RunUntil() from inside an event callback";
-  for (;;) {
-    Shard* best = FindGlobalHead();
-    if (best == nullptr || PeekHead(*best)->time > deadline) break;
-    ExecuteHead(*best);
-    DrainMail();
-    total_executed_ += best->executed;
-    best->executed = 0;
+  while (SequencedStep(deadline)) {
   }
   for (Shard& shard : shards_) {
     shard.now = std::max(shard.now, deadline);
@@ -395,10 +333,7 @@ bool ShardedSimulator::RunUntilPredicate(const std::function<bool()>& pred) {
 
 bool ShardedSimulator::Idle() const {
   for (const Shard& shard : shards_) {
-    for (const Record& rec : shard.heap) {
-      const Slot& s = domains_[rec.domain]->slots[rec.slot];
-      if (s.gen == rec.gen && s.live) return false;
-    }
+    if (!shard.queue.Empty()) return false;
     for (const std::vector<Mail>& box : shard.mail_to) {
       if (!box.empty()) return false;
     }
@@ -459,23 +394,12 @@ void ShardedSimulator::WorkerLoop(std::uint32_t shard_index) {
 // ----------------------------------------------------------------------
 
 void ShardedSimulator::AuditShard(const Shard& shard) const {
-  std::size_t stale_records = 0;
-  for (const Record& rec : shard.heap) {
-    HOPLITE_AUDIT(rec.domain >= 1 && rec.domain < domains_.size());
-    const Domain& dom = *domains_[rec.domain];
-    HOPLITE_AUDIT(&shards_[dom.shard] == &shard)
-        << "heap record for domain '" << dom.name << "' on a foreign shard";
-    const Slot& s = dom.slots[rec.slot];
-    if (s.gen == rec.gen && s.live) {
-      HOPLITE_AUDIT(rec.time >= shard.now)
-          << "live event in domain '" << dom.name << "' slot " << rec.slot
-          << " is behind the shard clock";
-    } else {
-      ++stale_records;
-    }
-  }
-  HOPLITE_AUDIT(stale_records == shard.stale)
-      << "(" << stale_records << " stale heap records vs counter " << shard.stale << ")";
+  shard.queue.AuditInvariants(shard.now);
+  shard.queue.ForEachLive([&](const Key& /*key*/, DomainId domain) {
+    HOPLITE_AUDIT(domain >= 1 && domain < domains_.size());
+    HOPLITE_AUDIT(&shards_[domains_[domain]->shard] == &shard)
+        << "event of domain '" << domains_[domain]->name << "' on a foreign shard";
+  });
 }
 
 void ShardedSimulator::AuditInvariants() const {
@@ -483,37 +407,6 @@ void ShardedSimulator::AuditInvariants() const {
     AuditShard(shard);
     for (const std::vector<Mail>& box : shard.mail_to) {
       HOPLITE_AUDIT(box.empty()) << "outbox not drained at a barrier";
-    }
-  }
-  // Per-domain slot accounting: every live slot is referenced by exactly one
-  // current-generation record on the domain's home shard; the free list
-  // holds exactly the non-live slots, each once.
-  for (DomainId d = 1; d < domains_.size(); ++d) {
-    const Domain& dom = *domains_[d];
-    std::vector<std::uint32_t> live_refs(dom.slots.size(), 0);
-    for (const Record& rec : shards_[dom.shard].heap) {
-      if (rec.domain != d) continue;
-      const Slot& s = dom.slots[rec.slot];
-      if (s.gen == rec.gen && s.live) ++live_refs[rec.slot];
-    }
-    std::size_t live_slots = 0;
-    for (std::size_t i = 0; i < dom.slots.size(); ++i) {
-      const std::uint32_t expected = dom.slots[i].live ? 1 : 0;
-      if (dom.slots[i].live) ++live_slots;
-      HOPLITE_AUDIT(live_refs[i] == expected)
-          << "domain '" << dom.name << "' slot " << i << " has " << live_refs[i]
-          << " live heap records";
-    }
-    HOPLITE_AUDIT(dom.free_slots.size() + live_slots == dom.slots.size())
-        << "(" << dom.free_slots.size() << " free + " << live_slots << " live vs "
-        << dom.slots.size() << " slots in domain '" << dom.name << "')";
-    std::vector<bool> freed(dom.slots.size(), false);
-    for (const std::uint32_t slot : dom.free_slots) {
-      HOPLITE_AUDIT(slot < dom.slots.size());
-      HOPLITE_AUDIT(!dom.slots[slot].live)
-          << "live slot " << slot << " on domain '" << dom.name << "' free list";
-      HOPLITE_AUDIT(!freed[slot]) << "slot " << slot << " freed twice";
-      freed[slot] = true;
     }
   }
 }

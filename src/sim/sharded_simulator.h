@@ -3,10 +3,11 @@
 //
 // The engine hosts a set of *domains* — independent event streams, each
 // exposing the full sim::Engine surface through a per-domain lane — placed on
-// a fixed number of *shards*. Each shard owns one event heap and (when more
-// than one shard is runnable) one worker thread. Shards synchronize with the
-// classic conservative (CMB-style) windowing scheme: between barriers, shard
-// s may execute every event strictly earlier than its horizon
+// a fixed number of *shards*. Each shard owns one sim::EventQueue (the same
+// slot/heap queue the reference engine runs on, sim/event_queue.h) and (when
+// more than one shard is runnable) one worker thread. Shards synchronize
+// with the classic conservative (CMB-style) windowing scheme: between
+// barriers, shard s may execute every event strictly earlier than its horizon
 //
 //     H(s) = min over shards s' != s of ( head_time(s') + L(s' -> s) )
 //
@@ -24,7 +25,10 @@
 //
 //     (time, parent_step, parent_domain, idx)
 //
-// where parent_step is the per-domain index of the event whose callback
+// This key is the shard queue's ordering rule; the reference Simulator's
+// queue orders by its own (time, seq) FIFO key instead, so the two engines
+// check each other rather than sharing one ordering implementation.
+// parent_step is the per-domain index of the event whose callback
 // scheduled this one, parent_domain its domain (0 = scheduled from driver
 // code outside any callback, with step = total events executed so far), and
 // idx the ordinal of the schedule call within that callback. For a workload
@@ -36,13 +40,13 @@
 // single-heap run would; see README "Parallel engine" for the contract.
 //
 // Threading model (TSan-clean by construction):
-//   * every per-shard structure (heap, clock, stale counter) and every
-//     per-domain structure (slot array, free list, step counter) is touched
-//     only by the shard's worker inside a window, or only by the driver
-//     thread at a barrier; the window/barrier handoff is a mutex+condvar
-//     epoch handshake, so all accesses are ordered by happens-before;
+//   * every per-shard structure (event queue, clock) and every per-domain
+//     structure (step counter) is touched only by the shard's worker inside
+//     a window, or only by the driver thread at a barrier; the
+//     window/barrier handoff is a mutex+condvar epoch handshake, so all
+//     accesses are ordered by happens-before;
 //   * cross-shard schedules append to the *sender's* outbox (sender-owned)
-//     and are drained into receiver heaps at the barrier (driver-owned);
+//     and are drained into receiver queues at the barrier (driver-owned);
 //   * if at most one shard is runnable in a window it executes inline on the
 //     driver thread — a single-domain workload never spawns a thread at all.
 #pragma once
@@ -60,6 +64,7 @@
 #include "common/logging.h"
 #include "common/units.h"
 #include "sim/engine.h"
+#include "sim/event_queue.h"
 
 namespace hoplite::sim {
 
@@ -119,6 +124,8 @@ class ShardedSimulator {
   /// predicate is evaluated after every executed event.
   bool RunUntilPredicate(const std::function<bool()>& pred);
 
+  /// Whether no live event is pending on any shard (cancelled tombstones do
+  /// not count) and no cross-shard mail is parked. O(shards).
   [[nodiscard]] bool Idle() const;
 
   /// Events executed across all domains.
@@ -134,14 +141,11 @@ class ShardedSimulator {
   [[nodiscard]] std::size_t num_domains() const { return domains_.size() - 1; }
 
   /// Full shard-local slot/generation/heap walk plus cross-shard accounting
-  /// (every heap record's domain must live on that shard; per-domain slot
-  /// arrays consistent; outboxes empty at barriers). Callable from the
-  /// driver thread at barriers only.
+  /// (every pending event's domain must live on that shard; outboxes empty
+  /// at barriers). Callable from the driver thread at barriers only.
   void AuditInvariants() const;
 
  private:
-  friend class ShardedLaneTestPeer;
-
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
   /// Events between consecutive per-shard audit walks (power of two).
   static constexpr std::uint64_t kAuditPeriod = 1024;
@@ -160,27 +164,15 @@ class ShardedSimulator {
     }
   };
 
-  /// A heap record: plain data only; the callback lives in the owning
-  /// domain's slot array.
-  struct Record {
+  /// The shard queues' ordering key. The event's own domain rides in its
+  /// queue slot as the owner tag.
+  struct Key {
     SimTime time;
     TieBreak tb;
-    DomainId domain;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  struct Later {
-    // Max-heap comparator inverted into a min-heap by (time, tie-break).
-    [[nodiscard]] bool operator()(const Record& a, const Record& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return b.tb < a.tb;
-    }
-  };
 
-  struct Slot {
-    Engine::Callback fn;
-    std::uint32_t gen = 0;
-    bool live = false;
+    friend bool operator<(const Key& a, const Key& b) noexcept {
+      return a.time != b.time ? a.time < b.time : a.tb < b.tb;
+    }
   };
 
   /// A cross-shard schedule parked until the next barrier.
@@ -206,7 +198,7 @@ class ShardedSimulator {
     }
     EventId ScheduleAfter(SimDuration delay, Callback fn) override {
       HOPLITE_CHECK_GE(delay, 0);
-      return engine_->LaneScheduleAt(id_, engine_->ScheduleBase(id_) + delay, std::move(fn));
+      return engine_->LaneScheduleAt(id_, engine_->LaneNow(id_) + delay, std::move(fn));
     }
     bool Cancel(EventId id) override { return engine_->LaneCancel(id_, id); }
     void Run() override { engine_->Run(); }
@@ -229,8 +221,6 @@ class ShardedSimulator {
     DomainId id = 0;
     std::uint32_t shard = 0;
     std::unique_ptr<Lane> lane;
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> free_slots;
     /// Events of this domain executed so far == step of the next one.
     std::uint64_t executed = 0;
     /// Minimum declared lookahead out of / into this domain, per peer
@@ -240,9 +230,8 @@ class ShardedSimulator {
   };
 
   struct Shard {
-    std::vector<Record> heap;
+    EventQueue<Key> queue;
     SimTime now = 0;
-    std::size_t stale = 0;
     std::uint64_t executed = 0;
     /// Outboxes: mail_to[s] holds cross-shard schedules targeting shard s,
     /// appended by this shard's worker during a window, drained by the
@@ -272,19 +261,16 @@ class ShardedSimulator {
 
   // Lane backends.
   [[nodiscard]] SimTime LaneNow(DomainId id) const;
-  [[nodiscard]] SimTime ScheduleBase(DomainId id) const;
   EventId LaneScheduleAt(DomainId id, SimTime t, Engine::Callback fn);
   bool LaneCancel(DomainId id, EventId ev);
   [[nodiscard]] std::uint64_t DomainExecuted(DomainId id) const {
     return domains_[id]->executed;
   }
 
-  /// Allocates a slot in `dom` and pushes the heap record onto the domain's
-  /// shard. Single-threaded with respect to that shard (caller guarantees).
-  EventId Commit(Domain& dom, SimTime t, TieBreak tb, Engine::Callback fn);
+  /// Queues `fn` for `dom` on the domain's shard. Single-threaded with
+  /// respect to that shard (caller guarantees).
+  EventId Commit(const Domain& dom, SimTime t, TieBreak tb, Engine::Callback fn);
 
-  /// Drops stale heads; returns the live head record or nullptr.
-  const Record* PeekHead(Shard& shard) const;
   /// The shard holding the globally least live head by (time, tie-break),
   /// or nullptr if the engine is drained. Driver thread, all workers parked.
   Shard* FindGlobalHead();
@@ -292,15 +278,16 @@ class ShardedSimulator {
   void ExecuteHead(Shard& shard);
   /// Runs `shard` up to (strictly before) `shard.horizon`.
   void RunWindow(Shard& shard);
-  /// Drains every outbox into the receiving shards' heaps (driver thread,
+  /// Drains every outbox into the receiving shards' queues (driver thread,
   /// all workers parked).
   void DrainMail();
   /// One windowed step: compute horizons, dispatch runnable shards, drain
   /// mail. Returns false when every shard is empty.
   bool WindowStep();
   /// Executes exactly one event — the globally least by (time, tie-break) —
-  /// on the caller thread. Returns false if the engine is drained.
-  bool SequencedStep();
+  /// on the caller thread, provided it is due at or before `deadline`.
+  /// Returns false if no such event is pending.
+  bool SequencedStep(SimTime deadline = kNever);
 
   void StartWorkers();
   void StopWorkers();

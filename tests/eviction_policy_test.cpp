@@ -1,7 +1,6 @@
 // Unit tests for the pluggable store replacement policies: LRU recency
 // order, 2Q's ghost-proven promotion and scan resistance, segmented LRU's
-// probation/protected split and tail demotion, ARC's adaptive
-// recency/frequency split and ghost feedback.
+// probation/protected split and tail demotion.
 #include "cache/eviction_policy.h"
 
 #include <gtest/gtest.h>
@@ -104,60 +103,6 @@ TEST(SegmentedLruPolicyTest, ProtectedOverflowDemotesItsTail) {
   EXPECT_EQ(policy->PickVictim(kAny), kA);
   policy->OnRemove(kA, RemovalCause::kEvicted);
   EXPECT_EQ(policy->PickVictim(kAny), kB);
-}
-
-TEST(ArcPolicyTest, TouchGraduatesToFrequencyAndSparesIt) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  policy->OnInsert(kA, 200);
-  policy->OnInsert(kB, 200);
-  policy->OnTouch(kA);  // a proves reuse: T1 -> T2
-
-  // p starts at 0 (all-frequency): T1 is over target, so the untouched
-  // recency entry pays, never the proven-frequent one.
-  EXPECT_EQ(policy->PickVictim(kAny), kB);
-  policy->OnRemove(kB, RemovalCause::kEvicted);
-
-  // Only T2 left: the scan falls back to it.
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
-  EXPECT_EQ(policy->size(), 1u);
-}
-
-TEST(ArcPolicyTest, GhostHitAdaptsTheSplit) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-
-  // First life of `a`: evicted from T1, leaves a B1 ghost.
-  policy->OnInsert(kA, 400);
-  policy->OnRemove(kA, RemovalCause::kEvicted);
-
-  // Second life: the B1 hit grows p to 400 and lands `a` in T2 directly.
-  policy->OnInsert(kA, 400);
-  // A fresh recency entry under the grown target: T1 (300) <= p (400), so
-  // the victim scan starts at T2 — the ghost-promoted `a` goes first even
-  // though `b` was inserted later.
-  policy->OnInsert(kB, 300);
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
-}
-
-TEST(ArcPolicyTest, ErasedEntriesLeaveNoGhost) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  policy->OnInsert(kA, 400);
-  policy->OnRemove(kA, RemovalCause::kErased);  // deleted, not evicted
-
-  // A recreated id starts in T1 again (no B1 breadcrumb, p unchanged at 0),
-  // so it is the first victim ahead of nothing in T2.
-  policy->OnInsert(kA, 400);
-  policy->OnInsert(kB, 400);
-  EXPECT_EQ(policy->PickVictim(kAny), kA);
-}
-
-TEST(ArcPolicyTest, VictimScanHonorsThePredicate) {
-  const auto policy = MakeEvictionPolicy(EvictionPolicyKind::kArc, 1000);
-  policy->OnInsert(kA, 200);
-  policy->OnInsert(kB, 200);
-  policy->OnTouch(kB);  // b in T2, a in T1
-  // The natural victim (a, T1 over target) is pinned: fall through to T2.
-  EXPECT_EQ(policy->PickVictim([](ObjectID object) { return object != kA; }), kB);
-  EXPECT_EQ(policy->PickVictim([](ObjectID) { return false; }), std::nullopt);
 }
 
 }  // namespace

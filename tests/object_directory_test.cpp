@@ -22,15 +22,15 @@ class DirectoryTest : public ::testing::Test {
  protected:
   DirectoryTest() : net_(MakeNetwork()), dir_(*net_, DirectoryConfig{}) {}
 
-  std::unique_ptr<net::NetworkModel> MakeNetwork() {
+  std::unique_ptr<net::FlatFabric> MakeNetwork() {
     net::ClusterConfig cfg;
     cfg.num_nodes = 8;
     cfg.per_message_overhead = 0;
-    return std::make_unique<net::NetworkModel>(sim_, cfg);
+    return std::make_unique<net::FlatFabric>(sim_, cfg);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::NetworkModel> net_;
+  std::unique_ptr<net::FlatFabric> net_;
   ObjectDirectory dir_;
   const ObjectID obj_ = ObjectID::FromName("payload");
 };
@@ -428,7 +428,7 @@ TEST(DirectoryScaleTest, StaggeredWideBroadcastClaimsExamineOnlyAvailableCopies)
   sim::Simulator sim;
   net::ClusterConfig cfg;
   cfg.num_nodes = kReceivers + 1;
-  net::NetworkModel net(sim, cfg);
+  net::FlatFabric net(sim, cfg);
   ObjectDirectory dir(net, DirectoryConfig{});
   const ObjectID object = ObjectID::FromName("wide");
   dir.RegisterPartial(object, 0, kBytes);
@@ -669,7 +669,7 @@ void RunDifferentialSequence(std::uint64_t seed) {
   net::ClusterConfig cfg;
   cfg.num_nodes = kNodes;
   cfg.cache.coalescing = coalescing;
-  net::NetworkModel net(sim, cfg);
+  net::FlatFabric net(sim, cfg);
   ObjectDirectory dir(net, DirectoryConfig{});
   const std::vector<ObjectID> objects{ObjectID::FromName("oracle-a"),
                                       ObjectID::FromName("oracle-b")};

@@ -163,6 +163,30 @@ TEST(ShardedSimulatorTest, RunUntilAdvancesLikeTheReference) {
   EXPECT_EQ(sharded_trace, plain_trace);
 }
 
+TEST(ShardedSimulatorTest, IdleIgnoresCancelledTombstonesLikeTheReference) {
+  // A fires, B was cancelled: once A has run, only B's tombstone is left in
+  // each engine's queue, and neither engine may count it as pending work.
+  auto drive = [](Engine& eng) {
+    bool fired = false;
+    eng.ScheduleAt(Milliseconds(10), [&fired] { fired = true; });
+    const EventId b = eng.ScheduleAt(Milliseconds(20), [] {});
+    EXPECT_TRUE(eng.Cancel(b));
+    EXPECT_FALSE(eng.Idle());
+    EXPECT_TRUE(eng.RunUntilPredicate([&fired] { return fired; }));
+    return eng.Idle();
+  };
+  Simulator plain;
+  const bool plain_idle = drive(plain);
+  EXPECT_EQ(plain.cancelled_tombstones(), 1u) << "the tombstone must still be queued";
+
+  ShardedSimulator eng({2});
+  const DomainId d = eng.AddDomain("main");
+  const bool sharded_idle = drive(eng.domain(d));
+
+  EXPECT_TRUE(plain_idle);
+  EXPECT_EQ(sharded_idle, plain_idle);
+}
+
 TEST(ShardedSimulatorTest, DriverSchedulingBetweenPhasesMatchesReference) {
   // Root (driver-context) schedules interleave with event-context schedules
   // across multiple run phases; the reference engine's FIFO must replay.
@@ -409,6 +433,19 @@ TEST(ShardedSimulatorTest, CrossDomainScheduleReturnsUncancellableHandle) {
     // Cross-shard schedules are fire-and-forget: no cancellable handle.
     EXPECT_FALSE(id.IsValid());
   });
+  eng.Run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(ShardedSimulatorTest, CancelThroughAnotherDomainsLaneIsRejected) {
+  // Both domains share shard 0's queue, so b's handle names a real slot
+  // there; a's lane must still refuse it rather than cancel b's event.
+  ShardedSimulator eng({1});
+  const DomainId a = eng.AddDomain("a");
+  const DomainId b = eng.AddDomain("b");
+  bool fired = false;
+  const EventId id = eng.domain(b).ScheduleAt(Milliseconds(1), [&fired] { fired = true; });
+  EXPECT_FALSE(eng.domain(a).Cancel(id));
   eng.Run();
   EXPECT_TRUE(fired);
 }
