@@ -9,13 +9,25 @@
 //
 // Contract:
 //   * OnInsert / OnRemove bracket an entry's lifetime in the store; every
-//     tracked entry appears in exactly one policy queue.
+//     tracked entry appears in exactly one policy queue. Entries start
+//     non-evictable; OnRemove also drops evictable ones.
 //   * OnTouch records a use (Get served locally, chunk appended, entry
 //     completed) and may reorder or promote the entry.
-//   * PickVictim walks candidates in policy order and returns the first one
-//     the store's predicate accepts, or nullopt when nothing is evictable.
-//     It never mutates policy state: the store confirms the eviction by
-//     calling OnRemove(victim, kEvicted).
+//   * SetEvictable(object, flag) is the store's verdict on whether the
+//     entry may be evicted now (complete, unreferenced, not a primary). The
+//     store calls it only when that verdict flips, and only if it has a
+//     capacity to enforce; a store without one never evicts.
+//   * PickVictim returns the evictable entry the policy would evict first,
+//     or nullopt when none is. It never mutates policy state: the store
+//     confirms the eviction by calling OnRemove(victim, kEvicted).
+//
+// Every queue only gains entries at its front (insert, or a splice on touch,
+// promotion or demotion), and each front arrival takes the next value of a
+// per-policy monotone stamp, so a queue is ordered by stamp from front
+// (newest) to back (oldest). Each queue keeps its evictable members in a
+// stamp-ordered set beside the full order, so its oldest evictable entry
+// is the set's first: exactly the entry a back-to-front scan that skips
+// pinned entries would reach, found without visiting the pinned ones.
 //
 // Every policy is deterministic by construction: ordering state lives in
 // std::list queues (order fixed by the call sequence) indexed by
@@ -23,10 +35,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "cache/cache_config.h"
 #include "common/annotations.h"
@@ -47,18 +59,22 @@ enum class RemovalCause {
 /// that owns it: all calls arrive from the store's own domain.
 class HOPLITE_DOMAIN_CONFINED EvictionPolicy {
  public:
-  /// Filter supplied by the store: true if the entry may be evicted now.
-  using EvictablePredicate = std::function<bool(ObjectID)>;
-
   virtual ~EvictionPolicy() = default;
 
   virtual void OnInsert(ObjectID object, std::int64_t bytes) = 0;
   virtual void OnTouch(ObjectID object) = 0;
   virtual void OnRemove(ObjectID object, RemovalCause cause) = 0;
 
-  /// First candidate in policy order accepted by `evictable`, or nullopt.
-  [[nodiscard]] virtual std::optional<ObjectID> PickVictim(
-      const EvictablePredicate& evictable) const = 0;
+  /// Marks a tracked entry evictable or pinned; `evictable` must differ
+  /// from the entry's current mark.
+  virtual void SetEvictable(ObjectID object, bool evictable) = 0;
+
+  /// First evictable entry in policy order, or nullopt if none is.
+  [[nodiscard]] virtual std::optional<ObjectID> PickVictim() const = 0;
+
+  /// Ids of the entries currently marked evictable, ascending (store
+  /// audits compare it with the store's own evictability).
+  [[nodiscard]] virtual std::vector<ObjectID> EvictableObjects() const = 0;
 
   /// Number of tracked entries (store audits check it matches the table).
   [[nodiscard]] virtual std::size_t size() const = 0;

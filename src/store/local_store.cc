@@ -54,6 +54,7 @@ void LocalStore::MarkComplete(ObjectID object, Buffer payload) {
         << "payload size mismatch for " << object;
     entry.state.payload = std::move(payload);
     entry.state.complete = true;
+    if (Evictable(entry)) NoteEvictable(object, true);
   }
   AdvanceChunks(object, EntryOf(object).state.layout.num_chunks());
   // The object may have been removed by a chunk subscriber; re-find it.
@@ -87,6 +88,7 @@ void LocalStore::Remove(ObjectID object) {
 void LocalStore::EraseEntry(std::unordered_map<ObjectID, Entry>::iterator it,
                             cache::RemovalCause cause) {
   used_bytes_ -= it->second.state.size;
+  if (Evictable(it->second)) --evictable_count_;  // OnRemove drops the policy's mark
   policy_->OnRemove(it->first, cause);
   entries_.erase(it);
 }
@@ -145,14 +147,29 @@ void LocalStore::Unsubscribe(ObjectID object, std::uint64_t token) {
   it->second.completion_subs.erase(token);
 }
 
-void LocalStore::Ref(ObjectID object) { MutableEntry(object).refs += 1; }
+void LocalStore::Ref(ObjectID object) {
+  Entry& entry = MutableEntry(object);
+  if (Evictable(entry)) NoteEvictable(object, false);
+  entry.refs += 1;
+}
 
 void LocalStore::Unref(ObjectID object) {
   auto it = entries_.find(object);
   if (it == entries_.end()) return;  // removed while referenced (Delete wins)
   HOPLITE_CHECK_GT(it->second.refs, 0);
   it->second.refs -= 1;
+  if (Evictable(it->second)) NoteEvictable(object, true);
   MaybeEvict();
+}
+
+void LocalStore::NoteEvictable(ObjectID object, bool evictable) {
+  if (evictable) {
+    ++evictable_count_;
+  } else {
+    --evictable_count_;
+  }
+  // A store without a capacity never evicts, so its policy need not know.
+  if (capacity_bytes_ > 0) policy_->SetEvictable(object, evictable);
 }
 
 void LocalStore::Touch(ObjectID object) {
@@ -166,9 +183,11 @@ std::vector<ObjectID> LocalStore::ListObjects() const {
 
 void LocalStore::AuditAccounting() const {
   std::int64_t resident = 0;
+  std::vector<ObjectID> evictable;
   for (const ObjectID object : det::SortedKeys(entries_)) {
     const Entry& e = entries_.find(object)->second;
     resident += e.state.size;
+    if (Evictable(e)) evictable.push_back(object);
     HOPLITE_AUDIT(e.refs >= 0) << object << " has negative ref count";
     HOPLITE_AUDIT(e.state.chunks_ready >= 0 &&
                   e.state.chunks_ready <= e.state.layout.num_chunks())
@@ -190,21 +209,26 @@ void LocalStore::AuditAccounting() const {
   HOPLITE_AUDIT(peak_used_bytes_ >= used_bytes_);
   HOPLITE_AUDIT(policy_->size() == entries_.size())
       << "(" << policy_->size() << " policy entries vs " << entries_.size() << " objects)";
+  HOPLITE_AUDIT(evictable.size() == evictable_count_)
+      << "(" << evictable.size() << " evictable entries vs counter " << evictable_count_
+      << ")";
+  if (capacity_bytes_ <= 0) evictable.clear();  // the policy is never told
+  HOPLITE_AUDIT(policy_->EvictableObjects() == evictable)
+      << "policy's evictable set differs from the store's on node " << node_;
 }
 
 void LocalStore::MaybeEvict() {
   if (capacity_bytes_ <= 0) return;
-  while (used_bytes_ > capacity_bytes_) {
-    // The policy proposes candidates in its order; the store accepts the
-    // first one that is actually evictable. Stop if nothing is.
-    const auto victim = policy_->PickVictim([this](ObjectID candidate) {
-      auto entry_it = entries_.find(candidate);
-      HOPLITE_CHECK(entry_it != entries_.end());
-      return Evictable(entry_it->second);
-    });
-    if (!victim.has_value()) return;  // over capacity but nothing evictable
+  // Over capacity with nothing evictable (only primaries, referenced or
+  // partial copies left): overshoot rather than drop them.
+  while (used_bytes_ > capacity_bytes_ && evictable_count_ > 0) {
+    const auto victim = policy_->PickVictim();
+    HOPLITE_CHECK(victim.has_value())
+        << "policy found no victim among " << evictable_count_
+        << " evictable entries on node " << node_;
     auto entry_it = entries_.find(*victim);
-    HOPLITE_CHECK(entry_it != entries_.end());
+    HOPLITE_CHECK(entry_it != entries_.end() && Evictable(entry_it->second))
+        << "policy picked " << *victim << ", which is not evictable on node " << node_;
     ++evictions_;
     EraseEntry(entry_it, cache::RemovalCause::kEvicted);
   }

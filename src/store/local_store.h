@@ -130,8 +130,10 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
 
   /// Full byte-accounting walk (audit builds; also directly callable from
   /// tests): used_bytes == sum of resident entry sizes, non-negative ref
-  /// counts, entries/lru mutually consistent, complete entries with full
-  /// chunk prefixes and attached payloads.
+  /// counts, entries/policy mutually consistent, complete entries with full
+  /// chunk prefixes and attached payloads, the evictable count equal to a
+  /// recount, and the policy's evictable set equal to the store's (empty
+  /// without a capacity).
   void AuditAccounting() const;
 
  private:
@@ -150,6 +152,9 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   [[nodiscard]] bool Evictable(const Entry& e) const noexcept {
     return e.state.complete && e.refs == 0 && e.state.kind != CopyKind::kPrimary;
   }
+  /// Books a flip of `Evictable(entry)` for `object`: adjusts the count and,
+  /// when a capacity is enforced, tells the policy.
+  void NoteEvictable(ObjectID object, bool evictable);
   void MaybeEvict();
   void EraseEntry(std::unordered_map<ObjectID, Entry>::iterator it,
                   cache::RemovalCause cause);
@@ -159,6 +164,7 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   std::int64_t used_bytes_ = 0;
   std::int64_t peak_used_bytes_ = 0;
   std::uint64_t evictions_ = 0;
+  std::size_t evictable_count_ = 0;  ///< entries for which Evictable() holds
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::unordered_map<ObjectID, Entry> entries_;

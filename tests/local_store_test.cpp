@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "common/units.h"
+#include "reference_eviction_policies.h"
 
 namespace hoplite::store {
 namespace {
@@ -164,6 +170,135 @@ TEST(LocalStoreTest, EmptyObjectCompletes) {
   store.MarkComplete(kObj, Buffer::OfSize(0));
   EXPECT_TRUE(store.IsComplete(kObj));
   EXPECT_EQ(store.ChunksReady(kObj), 1);  // the single empty chunk
+}
+
+/// Forwards to a wrapped policy, counting victim picks and recording the
+/// order of capacity evictions.
+class CountingPolicy final : public cache::EvictionPolicy {
+ public:
+  struct Log {
+    std::uint64_t picks = 0;
+    std::vector<ObjectID> evicted;
+  };
+
+  CountingPolicy(std::unique_ptr<cache::EvictionPolicy> inner, Log& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  void OnInsert(ObjectID object, std::int64_t bytes) override {
+    inner_->OnInsert(object, bytes);
+  }
+  void OnTouch(ObjectID object) override { inner_->OnTouch(object); }
+  void OnRemove(ObjectID object, cache::RemovalCause cause) override {
+    if (cause == cache::RemovalCause::kEvicted) log_.evicted.push_back(object);
+    inner_->OnRemove(object, cause);
+  }
+  void SetEvictable(ObjectID object, bool evictable) override {
+    inner_->SetEvictable(object, evictable);
+  }
+  [[nodiscard]] std::optional<ObjectID> PickVictim() const override {
+    ++log_.picks;
+    return inner_->PickVictim();
+  }
+  [[nodiscard]] std::vector<ObjectID> EvictableObjects() const override {
+    return inner_->EvictableObjects();
+  }
+  [[nodiscard]] std::size_t size() const override { return inner_->size(); }
+  [[nodiscard]] bool Contains(ObjectID object) const override {
+    return inner_->Contains(object);
+  }
+  [[nodiscard]] cache::EvictionPolicyKind kind() const override { return inner_->kind(); }
+
+ private:
+  std::unique_ptr<cache::EvictionPolicy> inner_;
+  Log& log_;
+};
+
+/// A no-GC churn store: 1000 ops on a 48 MB LRU store over the 256 KB /
+/// 1 MB / 4 MB size mix, 45% pinned primary Puts, the rest fetched replicas,
+/// and a quarter of the draws re-reading an earlier object. Returns the
+/// store so callers can inspect where it ended.
+std::unique_ptr<LocalStore> RunChurn(std::unique_ptr<cache::EvictionPolicy> policy,
+                                     CountingPolicy::Log& log) {
+  constexpr std::int64_t kCapacity = MB(48);
+  auto store = std::make_unique<LocalStore>(
+      0, kCapacity, std::make_unique<CountingPolicy>(std::move(policy), log));
+  Rng rng(16);
+  std::vector<ObjectID> seen;
+  for (int i = 0; i < 1000; ++i) {
+    const double draw = rng.NextDouble();
+    const double size_draw = rng.NextDouble();
+    const std::int64_t bytes = size_draw < 0.5 ? KB(256) : size_draw < 0.9 ? MB(1) : MB(4);
+    if (draw >= 0.75 && !seen.empty()) {
+      const ObjectID again = seen[rng.NextBounded(seen.size())];
+      if (store->Contains(again)) {
+        store->Touch(again);
+        continue;
+      }
+    }
+    const ObjectID object = ObjectID::FromName("churn").WithIndex(i);
+    store->CreatePartial(object, bytes, draw < 0.45 ? CopyKind::kPrimary : CopyKind::kReplica,
+                         MB(4));
+    store->MarkComplete(object, Buffer::OfSize(bytes));
+    store->AuditAccounting();
+    seen.push_back(object);
+  }
+  return store;
+}
+
+TEST(LocalStoreEvictionWorkTest, OnePickPerEvictionAndTheReferenceScansOrder) {
+  CountingPolicy::Log log;
+  const auto store =
+      RunChurn(cache::MakeEvictionPolicy(cache::EvictionPolicyKind::kLru, MB(48)), log);
+  // Every pick found a victim: the store asks only while something is
+  // evictable, never to learn that nothing is.
+  EXPECT_GT(store->evictions(), 100u);
+  EXPECT_EQ(log.picks, store->evictions());
+  EXPECT_EQ(log.evicted.size(), store->evictions());
+  // Pinned primaries alone outgrow the store; it overshoots instead of
+  // dropping them, with nothing evictable left.
+  EXPECT_GT(store->used_bytes(), store->capacity_bytes());
+  EXPECT_TRUE(store->policy().EvictableObjects().empty());
+
+  CountingPolicy::Log reference_log;
+  const auto reference =
+      RunChurn(std::make_unique<cache::testing::ReferencePolicy>(
+                   cache::EvictionPolicyKind::kLru, MB(48)),
+               reference_log);
+  EXPECT_EQ(log.evicted, reference_log.evicted);
+  EXPECT_EQ(store->ListObjects(), reference->ListObjects());
+}
+
+TEST(LocalStoreEvictionWorkTest, RefPinsAndUnrefReleasesForEviction) {
+  CountingPolicy::Log log;
+  auto lru = cache::MakeEvictionPolicy(cache::EvictionPolicyKind::kLru, MB(10));
+  LocalStore store(0, MB(10), std::make_unique<CountingPolicy>(std::move(lru), log));
+  store.CreatePartial(kObj, MB(6), CopyKind::kReplica, MB(4));
+  store.MarkComplete(kObj, Buffer::OfSize(MB(6)));
+  EXPECT_EQ(store.policy().EvictableObjects(), std::vector<ObjectID>{kObj});
+  store.Ref(kObj);
+  store.Ref(kObj);
+  EXPECT_TRUE(store.policy().EvictableObjects().empty());
+  store.CreatePartial(kObj2, MB(6), CopyKind::kPrimary, MB(4));
+  store.MarkComplete(kObj2, Buffer::OfSize(MB(6)));
+  EXPECT_EQ(log.picks, 0u);  // over capacity, but nothing evictable to ask for
+  store.Unref(kObj);
+  EXPECT_TRUE(store.Contains(kObj));  // still referenced once
+  store.Unref(kObj);                  // last reference: evicted at once
+  EXPECT_FALSE(store.Contains(kObj));
+  EXPECT_EQ(log.picks, 1u);
+  EXPECT_EQ(log.evicted, std::vector<ObjectID>{kObj});
+  store.AuditAccounting();
+}
+
+TEST(LocalStoreEvictionWorkTest, UncappedStoreNeverMarksItsPolicy) {
+  LocalStore store(0);
+  store.CreatePartial(kObj, MB(6), CopyKind::kReplica, MB(4));
+  store.MarkComplete(kObj, Buffer::OfSize(MB(6)));
+  EXPECT_TRUE(store.policy().EvictableObjects().empty());
+  store.Ref(kObj);
+  store.Unref(kObj);
+  store.Remove(kObj);
+  store.AuditAccounting();
 }
 
 }  // namespace
