@@ -14,10 +14,8 @@
 namespace hoplite::bench {
 namespace {
 
-double ReduceWith(int nodes, std::int64_t bytes, int degree /* 0 = adaptive */,
-                  int shards) {
+double ReduceWith(int nodes, std::int64_t bytes, int degree /* 0 = adaptive */) {
   auto options = PaperCluster(nodes);
-  options.engine_shards = shards;
   options.hoplite.forced_reduce_degree = degree;
   options.directory.inline_threshold = 1;  // force the tree path for all sizes
   core::HopliteCluster cluster(options);
@@ -31,10 +29,10 @@ std::vector<Row> Run(const RunOptions& opt) {
   int good = 0;
   for (const std::int64_t bytes : opt.ObjectSizes({KB(128), MB(1), MB(8), MB(64)})) {
     for (const int nodes : opt.NodeCounts({8, 16, 32})) {
-      const double adaptive = ReduceWith(nodes, bytes, 0, opt.shards);
-      double best = ReduceWith(nodes, bytes, 1, opt.shards);
+      const double adaptive = ReduceWith(nodes, bytes, 0);
+      double best = ReduceWith(nodes, bytes, 1);
       for (const int d : {2, nodes}) {
-        best = std::min(best, ReduceWith(nodes, bytes, d, opt.shards));
+        best = std::min(best, ReduceWith(nodes, bytes, d));
       }
       const double ratio = best > 0 ? adaptive / best : 0.0;
       ++cells;

@@ -41,7 +41,6 @@ std::vector<Row> Run(const RunOptions& opt) {
       tuning.max_object_bytes = opt.Bytes(KB(256));
       workload::ScenarioSpec spec = workload::BuildScenario("zipf-serving", tuning);
       spec.store_capacity_bytes = capacity;
-      spec.engine_shards = opt.shards;
       spec.cache.policy = policy;
 
       const LoadReport report =

@@ -15,7 +15,7 @@ namespace hoplite::bench {
 namespace {
 
 std::vector<Row> Run(const RunOptions& opt) {
-  core::HopliteCluster cluster(WithShards(PaperCluster(opt.Nodes(16)), opt.shards));
+  core::HopliteCluster cluster(PaperCluster(opt.Nodes(16)));
   auto& dir = cluster.directory();
   auto& sim = cluster.simulator();
   const NodeID reader = static_cast<NodeID>(cluster.num_nodes() - 1);

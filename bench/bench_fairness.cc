@@ -63,9 +63,7 @@ workload::ScenarioSpec BuildCell(const RunOptions& opt, double intensity) {
   tuning.horizon = Milliseconds(50) * opt.Rounds(10);
   tuning.load_scale = intensity;
   tuning.max_object_bytes = opt.Bytes(MB(2));
-  workload::ScenarioSpec spec = workload::BuildScenario("misbehaving-tenant", tuning);
-  spec.engine_shards = opt.shards;
-  return spec;
+  return workload::BuildScenario("misbehaving-tenant", tuning);
 }
 
 std::vector<Row> Run(const RunOptions& opt) {

@@ -21,7 +21,6 @@ double Throughput(const RunOptions& opt, RlMode mode, int nodes, Backend backend
   RunStats stats;
   for (int i = 0; i < opt.Repeats(3); ++i) {
     apps::RlOptions options;
-    options.engine_shards = opt.shards;
     options.backend = backend;
     options.mode = mode;
     options.num_nodes = nodes;

@@ -20,7 +20,6 @@ double Throughput(const RunOptions& opt, int replicas, Backend backend) {
   RunStats stats;
   for (int i = 0; i < opt.Repeats(3); ++i) {
     apps::ServingOptions options;
-    options.engine_shards = opt.shards;
     options.backend = backend;
     options.num_nodes = replicas + 1;
     options.query_bytes = opt.Bytes(options.query_bytes);

@@ -52,7 +52,6 @@ void AppendFailureEvents(std::vector<Row>& rows, const std::string& app,
 
 void ServingTimeline(std::vector<Row>& rows, const RunOptions& opt, Backend backend) {
   apps::ServingOptions options;
-  options.engine_shards = opt.shards;
   options.backend = backend;
   options.num_nodes = opt.Nodes(9);  // 8 models, like §5.5
   options.num_queries = opt.Rounds(70);
@@ -73,7 +72,6 @@ void ServingTimeline(std::vector<Row>& rows, const RunOptions& opt, Backend back
 
 void SgdTimeline(std::vector<Row>& rows, const RunOptions& opt, Backend backend) {
   apps::AsyncSgdOptions options;
-  options.engine_shards = opt.shards;
   options.backend = backend;
   options.num_nodes = opt.Nodes(7);  // 6 workers, like §5.5
   options.model_bytes = opt.Bytes(MB(97));

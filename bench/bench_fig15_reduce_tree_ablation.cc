@@ -15,9 +15,8 @@
 namespace hoplite::bench {
 namespace {
 
-double ReduceWithDegree(int nodes, std::int64_t bytes, int degree, int shards) {
+double ReduceWithDegree(int nodes, std::int64_t bytes, int degree) {
   auto options = PaperCluster(nodes);
-  options.engine_shards = shards;
   options.hoplite.forced_reduce_degree = degree;
   // The paper's Appendix B exercises the tree for every size; disable the
   // small-object inline path so 4-32 KB objects build real trees too.
@@ -44,9 +43,9 @@ std::vector<Row> Run(const RunOptions& opt) {
                            .value = value,
                            .unit = unit});
       };
-      point("d=1", ReduceWithDegree(n, bytes, 1, opt.shards));
-      point("d=2", ReduceWithDegree(n, bytes, 2, opt.shards));
-      point("d=n", ReduceWithDegree(n, bytes, n, opt.shards));
+      point("d=1", ReduceWithDegree(n, bytes, 1));
+      point("d=2", ReduceWithDegree(n, bytes, 2));
+      point("d=n", ReduceWithDegree(n, bytes, n));
       const int model_d = core::ChooseReduceDegree(
           n, ToSeconds(fabric.one_way_latency + fabric.per_message_overhead),
           fabric.nic_bandwidth, static_cast<double>(bytes),

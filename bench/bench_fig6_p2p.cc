@@ -19,9 +19,8 @@ namespace hoplite::bench {
 namespace {
 
 /// Hoplite RTT: Put+Get one way, then Put+Get back.
-double HopliteRtt(std::int64_t bytes, bool pipelining, int shards) {
+double HopliteRtt(std::int64_t bytes, bool pipelining) {
   auto options = PaperCluster(2);
-  options.engine_shards = shards;
   options.hoplite.pipeline_worker_copies = pipelining;
   core::HopliteCluster cluster(options);
   const ObjectID there = ObjectID::FromName("ping");
@@ -76,8 +75,8 @@ std::vector<Row> Run(const RunOptions& opt) {
     };
     point("Optimal",
           2.0 * ToSeconds(TransferTime(bytes, net::ClusterConfig{}.nic_bandwidth)));
-    point("Hoplite", HopliteRtt(bytes, true, opt.shards));
-    point("Hoplite (no pipeline)", HopliteRtt(bytes, false, opt.shards));
+    point("Hoplite", HopliteRtt(bytes, true));
+    point("Hoplite (no pipeline)", HopliteRtt(bytes, false));
     point("OpenMPI", MpiRtt(bytes));
     point("Ray", RayRtt(bytes, baselines::RayLikeConfig::Ray()));
     point("Dask", RayRtt(bytes, baselines::RayLikeConfig::Dask()));

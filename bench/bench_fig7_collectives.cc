@@ -45,7 +45,7 @@ std::vector<Row> Run(const RunOptions& opt) {
                              .value = seconds});
         };
         point("Hoplite",
-              HopliteCollective(op, WithShards(PaperCluster(n), opt.shards), bytes));
+              HopliteCollective(op, PaperCluster(n), bytes));
         point("OpenMPI", MpiCollective(op, n, bytes));
         point("Ray", RayCollective(op, n, bytes, baselines::RayLikeConfig::Ray()));
         point("Dask", RayCollective(op, n, bytes, baselines::RayLikeConfig::Dask()));

@@ -44,8 +44,8 @@ double GlooRing(int nodes, std::int64_t bytes, SimDuration interval) {
 }
 
 double HopliteOp(const std::string& op, int nodes, std::int64_t bytes,
-                 SimDuration interval, int shards) {
-  core::HopliteCluster cluster(WithShards(PaperCluster(nodes), shards));
+                 SimDuration interval) {
+  core::HopliteCluster cluster(PaperCluster(nodes));
   const auto ready = Staggered(nodes, interval);
   if (op == "broadcast") return HopliteBroadcast(cluster, bytes, ready);
   if (op == "reduce") return HopliteReduce(cluster, bytes, ready);
@@ -68,7 +68,7 @@ std::vector<Row> Run(const RunOptions& opt) {
                            {"last_arrival_s", ToSeconds(interval * (nodes - 1))}},
                 .value = seconds});
       };
-      point("Hoplite", HopliteOp(op, nodes, bytes, interval, opt.shards));
+      point("Hoplite", HopliteOp(op, nodes, bytes, interval));
       point("OpenMPI", MpiOp(op, nodes, bytes, interval));
       if (op == "allreduce") {
         point("Gloo (Ring Chunked)", GlooRing(nodes, bytes, interval));

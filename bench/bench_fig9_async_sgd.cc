@@ -33,7 +33,6 @@ double Throughput(const RunOptions& opt, const ModelSpec& model, int nodes,
   RunStats stats;
   for (int i = 0; i < opt.Repeats(3); ++i) {
     apps::AsyncSgdOptions options;
-    options.engine_shards = opt.shards;
     options.backend = backend;
     options.num_nodes = nodes;
     options.model_bytes = opt.Bytes(model.bytes);

@@ -33,10 +33,8 @@ struct HotObjectResult {
   std::int64_t wire_bytes = 0;
 };
 
-HotObjectResult RunOne(int nodes, std::int64_t bytes, int waves, bool coalescing,
-                       int shards) {
+HotObjectResult RunOne(int nodes, std::int64_t bytes, int waves, bool coalescing) {
   core::HopliteCluster::Options options = PaperCluster(nodes);
-  options.engine_shards = shards;
   options.network.cache.coalescing = coalescing;
   core::HopliteCluster cluster(options);
   auto& sim = cluster.simulator();
@@ -89,7 +87,7 @@ std::vector<Row> Run(const RunOptions& opt) {
   for (const int nodes : opt.NodeCounts({3, 5, 9, 17, 33})) {
     for (const bool coalescing : {false, true}) {
       const HotObjectResult result =
-          RunOne(nodes, bytes, waves, coalescing, opt.shards);
+          RunOne(nodes, bytes, waves, coalescing);
       const auto point = [&](const char* metric, double value, const char* unit) {
         rows.push_back(Row{.series = coalescing ? "coalesced" : "per-get",
                            .labels = {{"metric", metric}},

@@ -40,7 +40,6 @@ std::vector<Row> Run(const RunOptions& opt) {
         tuning.num_tenants = tenants;
         tuning.max_object_bytes = opt.Bytes(MB(16));
         workload::ScenarioSpec spec = workload::BuildScenario("mixed", tuning);
-        spec.engine_shards = opt.shards;
         if (fabric == "rack") {
           spec.fabric.topology = net::TopologyKind::kRack;
           spec.fabric.num_racks = 4;

@@ -8,24 +8,23 @@
 // Scale knobs (--max-nodes / --max-bytes / --repeats / --rounds) shrink
 // every figure to toy sizes; the smoke test uses the same path.
 //
-// --jobs N runs independent figures on a thread pool (figures share no
-// mutable state; the registry and scenario tables are filled once at static
-// init and only read afterwards). Output stays deterministic: tables and
-// the JSON document are emitted in registration order after every figure
-// finishes, never interleaved. --shards N hosts every Hoplite cluster on an
-// N-shard ShardedSimulator; results must be byte-identical to --shards 1.
+// --jobs N runs independent figures on N worker threads (ParallelFor,
+// src/common/parallel.h; figures share no mutable state, and the registry
+// and scenario tables are filled once at static init and only read
+// afterwards). Output stays deterministic: tables and the JSON document are
+// emitted in registration order after every figure finishes, never
+// interleaved, so a --jobs N document is byte-identical to --jobs 1.
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/registry.h"
+#include "common/parallel.h"
 
 namespace hoplite::bench {
 namespace {
@@ -34,7 +33,7 @@ void PrintUsage() {
   std::printf(
       "usage: bench_all [--list] [--figure NAME[,NAME...]|all] [--out FILE]\n"
       "                 [--max-nodes N] [--max-bytes N] [--repeats N]\n"
-      "                 [--rounds N] [--shards N] [--jobs N] [--quiet]\n");
+      "                 [--rounds N] [--jobs N] [--quiet]\n");
 }
 
 void PrintList() {
@@ -122,9 +121,6 @@ int Main(int argc, char** argv) {
       options.repeats = static_cast<int>(int_value(INT_MAX));
     } else if (arg == "--rounds") {
       options.rounds = static_cast<int>(int_value(INT_MAX));
-    } else if (arg == "--shards") {
-      // 256 is the ShardedSimulator's own shard-count ceiling.
-      options.shards = static_cast<int>(int_value(256));
     } else if (arg == "--jobs") {
       jobs = static_cast<int>(int_value(256));
     } else if (arg == "--quiet") {
@@ -188,28 +184,15 @@ int Main(int argc, char** argv) {
       if (!quiet) PrintTable(results[f]);
     }
   } else {
-    // Figure-granularity thread pool: workers claim the next unstarted
-    // figure; each result lands in its registration-order slot so the
-    // tables and JSON below are identical to a sequential run.
+    // Figure-granularity pool: each result lands in its registration-order
+    // slot, so the tables and JSON below are identical to a sequential run.
     if (!quiet) {
       std::printf("running %zu figures on %d threads ...\n", figures.size(), jobs);
       std::fflush(stdout);
     }
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    const std::size_t workers =
-        std::min(static_cast<std::size_t>(jobs), figures.size());
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t f = next.fetch_add(1); f < figures.size();
-             f = next.fetch_add(1)) {
-          results[f] = FigureResult{figures[f]->name, figures[f]->title,
-                                    figures[f]->fn(options)};
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
+    ParallelFor(figures.size(), jobs, [&](std::size_t f) {
+      results[f] = FigureResult{figures[f]->name, figures[f]->title, figures[f]->fn(options)};
+    });
     if (!quiet) {
       for (const FigureResult& result : results) PrintTable(result);
     }

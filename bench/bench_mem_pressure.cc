@@ -37,7 +37,6 @@ std::vector<Row> Run(const RunOptions& opt) {
     tuning.max_object_bytes = opt.Bytes(MB(4));
     workload::ScenarioSpec spec = workload::BuildScenario("memory-pressure", tuning);
     spec.store_capacity_bytes = capacity;
-    spec.engine_shards = opt.shards;
 
     const LoadReport report = workload::RunScenario(spec, workload::BackendKind::kHoplite);
     const double capacity_mb =

@@ -39,8 +39,8 @@ constexpr int kStages = 4;
   return TransferTime(bytes, net::ClusterConfig{}.nic_bandwidth) / 2;
 }
 
-double HoplitePipeline(int microbatches, std::int64_t bytes, int shards) {
-  core::HopliteCluster cluster(WithShards(PaperCluster(kStages), shards));
+double HoplitePipeline(int microbatches, std::int64_t bytes) {
+  core::HopliteCluster cluster(PaperCluster(kStages));
   auto& sim = cluster.simulator();
   const SimDuration compute = StageCompute(bytes);
 
@@ -131,7 +131,7 @@ std::vector<Row> Run(const RunOptions& opt) {
                                       {"microbatches", static_cast<double>(micro)}},
                            .value = seconds});
       };
-      point("Hoplite", HoplitePipeline(micro, bytes, opt.shards));
+      point("Hoplite", HoplitePipeline(micro, bytes));
       point("Ray", RayPipeline(micro, bytes, baselines::RayLikeConfig::Ray()));
       point("Dask", RayPipeline(micro, bytes, baselines::RayLikeConfig::Dask()));
     }

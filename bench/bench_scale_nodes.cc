@@ -26,9 +26,8 @@
 namespace hoplite::bench {
 namespace {
 
-[[nodiscard]] core::HopliteCluster::Options ScaleCluster(int nodes, bool rack,
-                                                          int shards) {
-  core::HopliteCluster::Options options = WithShards(PaperCluster(nodes), shards);
+[[nodiscard]] core::HopliteCluster::Options ScaleCluster(int nodes, bool rack) {
+  core::HopliteCluster::Options options = PaperCluster(nodes);
   if (rack) {
     options.network.fabric.topology = net::TopologyKind::kRack;
     options.network.fabric.num_racks = std::max(2, nodes / 32);
@@ -48,7 +47,7 @@ std::vector<Row> Run(const RunOptions& opt) {
       for (const std::string op : {"broadcast", "reduce", "allreduce"}) {
         const auto start = std::chrono::steady_clock::now();
         const double sim_seconds =
-            HopliteCollective(op, ScaleCluster(nodes, rack, opt.shards), bytes);
+            HopliteCollective(op, ScaleCluster(nodes, rack), bytes);
         const auto stop = std::chrono::steady_clock::now();
         const double wall = std::chrono::duration<double>(stop - start).count();
         fabric_wall += wall;

@@ -51,7 +51,7 @@ std::vector<Row> Run(const RunOptions& opt) {
 
   for (const std::string op : {"broadcast", "reduce", "allreduce"}) {
     for (const double oversub : {1.0, 2.0, 4.0, 8.0}) {
-      const auto options = WithShards(RackCluster(nodes, racks, oversub), opt.shards);
+      const auto options = RackCluster(nodes, racks, oversub);
       point("Hoplite", op, oversub, HopliteCollective(op, options, bytes));
       point("Ray", op, oversub,
             RayCollective(op, options.network, bytes, baselines::RayLikeConfig::Ray()));

@@ -44,15 +44,6 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
   return options;
 }
 
-/// Applies the `--shards` knob (RunOptions::shards) to a cluster spec:
-/// shards > 1 hosts the cluster on an owned ShardedSimulator. Results are
-/// engine-independent by contract — the differential sweep enforces it.
-[[nodiscard]] inline core::HopliteCluster::Options WithShards(
-    core::HopliteCluster::Options options, int shards) {
-  options.engine_shards = shards;
-  return options;
-}
-
 /// Staggered start times: participant i becomes ready at i * interval.
 [[nodiscard]] inline std::vector<SimTime> Staggered(int n, SimDuration interval) {
   std::vector<SimTime> at(static_cast<std::size_t>(n));
@@ -77,10 +68,9 @@ static_assert(net::ClusterConfig{}.per_message_overhead == Microseconds(5));
 }
 
 // The Start* runners issue a collective without driving the engine, so
-// several clusters (each on its own sharded-engine domain) can be loaded
-// first and then run concurrently with one engine Run(); the Hoplite*
-// wrappers below keep the classic issue-and-drain shape for the solo-cluster
-// figures.
+// several collectives can be loaded onto one cluster first and then run
+// concurrently with one drain; the Hoplite* wrappers below keep the classic
+// issue-and-drain shape for the solo-collective figures.
 
 /// Broadcast: node 0 Puts at ready_at[0]; every other node Gets at its
 /// ready_at. Settles when the last receiver holds the object.

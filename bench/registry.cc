@@ -132,8 +132,6 @@ std::string ResultsToJson(const std::vector<FigureResult>& results,
   AppendNumber(out, options.repeats);
   out += ",\"rounds\":";
   AppendNumber(out, options.rounds);
-  out += ",\"shards\":";
-  AppendNumber(out, options.shards);
   out += "},\"figures\":[";
   for (std::size_t f = 0; f < results.size(); ++f) {
     if (f > 0) out += ',';

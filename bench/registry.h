@@ -40,12 +40,6 @@ struct RunOptions {
   std::int64_t max_object_bytes = 0;  ///< cap on object sizes (0 = paper)
   int repeats = 0;                    ///< override per-point repetitions
   int rounds = 0;                     ///< override app rounds / queries / iterations
-  /// Event-engine shards per Hoplite cluster (`--shards N`). 1 = the
-  /// reference single-threaded Simulator; > 1 hosts every cluster-backed
-  /// figure on a ShardedSimulator. A single cluster is one coupling domain,
-  /// so this changes the engine, not the results: sharded sweeps must be
-  /// byte-identical to shards=1 (the differential gate in CI).
-  int shards = 1;
 
   /// Clamps a paper-scale node count (never below 2: one sender, one peer).
   [[nodiscard]] int Nodes(int paper) const;

@@ -2,10 +2,10 @@
 """hoplite-sa: scope-aware static analysis of the determinism contract.
 
 The simulator promises bit-reproducible runs from identical inputs, and the
-sharded engine adds a second contract on top: per-domain state is confined to
-its domain and cross-domain traffic travels through the engine's timestamped
-mailbox. Both contracts die quietly — one range-for over a hash map, one
-wall-clock read two calls deep, one by-reference lambda capture outliving its
+layers add a second contract on top: per-domain state (directory, net, store)
+is confined to its owning layer and touched from outside only through
+annotated mailbox methods. Both contracts die quietly — one range-for over a
+hash map, one wall-clock read two calls deep, one by-reference lambda capture outliving its
 frame — so this analyzer enforces them statically, with no clang tooling
 dependency (pure stdlib Python): a real tokenizer, a scope/brace tracker and a
 per-TU symbol table feed a file-local + cross-file call graph over the tree.
@@ -31,9 +31,11 @@ Line rules (local, regex-over-stripped-lines)
   layering           An #include that violates the src/ layer DAG (common <
                      sim/store < net < directory < core < task/baselines <
                      apps < workload).
-  shared-mutable     Threading primitives outside the sanctioned owners (the
-                     sharded engine, the bench --jobs pool). Cross-shard state
-                     must travel through the engine's inter-shard mailbox.
+  shared-mutable     Threading primitives outside the one sanctioned home,
+                     ParallelFor (src/common/parallel.h). Parallel work is
+                     whole independent simulations (figures, clusters on
+                     private engines), each index writing only its own slot;
+                     nothing else may share state across threads.
 
 Scope-aware rules (symbol table + cross-file call graph)
 --------------------------------------------------------
@@ -156,12 +158,8 @@ RNG_HOME = "src/common/rng.h"
 # order is deterministic by construction (verified by det_test).
 DET_HOME = "src/common/det.h"
 
-# The only files allowed to own threads or thread-shared state.
-THREADING_HOMES = {
-    "src/sim/sharded_simulator.h",
-    "src/sim/sharded_simulator.cc",
-    "bench/bench_main.cc",
-}
+# The only file allowed to own threads or thread-shared state.
+THREADING_HOMES = {"src/common/parallel.h"}
 
 # Directories whose top-level classes hold domain state and must be annotated
 # HOPLITE_DOMAIN_CONFINED (or declared value types).
@@ -1043,8 +1041,8 @@ def run_line_rules(model: dict, raw_lines: list[str], code_lines: list[str]) -> 
             if m:
                 add_finding(model, lineno, "shared-mutable",
                             f"'{m.group(0).strip()}' outside the sanctioned threading "
-                            "owners (sharded engine, bench --jobs pool); share state "
-                            "across shards via the engine's inter-shard mailbox instead")
+                            "home (ParallelFor, src/common/parallel.h); run independent "
+                            "work through ParallelFor, each index writing its own slot")
 
         for m in CHECK_MACRO.finditer(code):
             blob = " ".join(code_lines[lineno - 1 : lineno + 3])

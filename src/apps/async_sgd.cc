@@ -37,7 +37,6 @@ struct HopliteSgd {
   static core::HopliteCluster::Options MakeClusterOptions(const AsyncSgdOptions& opt) {
     core::HopliteCluster::Options cluster_options;
     cluster_options.network = PaperNetwork(opt.num_nodes);
-    cluster_options.engine_shards = opt.engine_shards;
     cluster_options.network.failure_detection_delay = opt.detection_delay;
     return cluster_options;
   }

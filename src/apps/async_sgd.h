@@ -30,10 +30,6 @@ struct AsyncSgdOptions {
   ComputeModel gradient_compute;  ///< per-round worker computation
   int batch_size = 32;            ///< samples per gradient
   int rounds = 12;                ///< server update rounds to run
-  /// Event-engine shards for the Hoplite cluster (bench --shards knob;
-  /// 1 = the reference Simulator). Results are engine-independent by
-  /// contract; baseline backends ignore it.
-  int engine_shards = 1;
   std::uint64_t seed = 1;
 
   /// Optional failure scenario (Figure 12b): kill `kill_node` at `kill_at`,

@@ -44,7 +44,6 @@ struct HopliteRl {
   static core::HopliteCluster::Options MakeClusterOptions(const RlOptions& opt) {
     core::HopliteCluster::Options cluster_options;
     cluster_options.network = PaperNetwork(opt.num_nodes);
-    cluster_options.engine_shards = opt.engine_shards;
     return cluster_options;
   }
 

@@ -41,10 +41,6 @@ struct RlOptions {
   ComputeModel update_compute;   ///< trainer-side model update
   int rounds = 12;
   std::uint64_t seed = 1;
-  /// Event-engine shards for the Hoplite cluster (bench --shards knob;
-  /// 1 = the reference Simulator). Results are engine-independent by
-  /// contract; baseline backends ignore it.
-  int engine_shards = 1;
 };
 
 struct RlResult {

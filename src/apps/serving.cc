@@ -33,7 +33,6 @@ struct HopliteServing {
   static core::HopliteCluster::Options MakeClusterOptions(const ServingOptions& opt) {
     core::HopliteCluster::Options cluster_options;
     cluster_options.network = PaperNetwork(opt.num_nodes);
-    cluster_options.engine_shards = opt.engine_shards;
     cluster_options.network.failure_detection_delay = opt.detection_delay;
     return cluster_options;
   }

@@ -34,10 +34,6 @@ struct ServingOptions {
   ComputeModel inference_compute;
   int num_queries = 40;
   std::uint64_t seed = 1;
-  /// Event-engine shards for the Hoplite cluster (bench --shards knob;
-  /// 1 = the reference Simulator). Results are engine-independent by
-  /// contract; baseline backends ignore it.
-  int engine_shards = 1;
 
   /// Optional failure scenario (Figure 12a).
   NodeID kill_node = kInvalidNode;

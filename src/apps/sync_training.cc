@@ -35,7 +35,6 @@ struct HopliteSync {
   static core::HopliteCluster::Options MakeClusterOptions(const SyncTrainingOptions& opt) {
     core::HopliteCluster::Options cluster_options;
     cluster_options.network = PaperNetwork(opt.num_nodes);
-    cluster_options.engine_shards = opt.engine_shards;
     return cluster_options;
   }
 

@@ -23,10 +23,6 @@ struct SyncTrainingOptions {
   int batch_size = 32;
   int rounds = 8;
   std::uint64_t seed = 1;
-  /// Event-engine shards for the Hoplite cluster (bench --shards knob;
-  /// 1 = the reference Simulator). Results are engine-independent by
-  /// contract; baseline backends ignore it.
-  int engine_shards = 1;
 };
 
 struct SyncTrainingResult {

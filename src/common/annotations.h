@@ -1,7 +1,7 @@
 // Static-analysis annotations consumed by hoplite-sa
 // (scripts/lint_determinism.py). Zero codegen: every macro here expands to
 // nothing; the analyzer reads them from source text. They exist so the
-// sharding contract is written down where it is enforced.
+// layer-ownership contract is written down where it is enforced.
 //
 // HOPLITE_DOMAIN_CONFINED — on a class declaration in src/directory/,
 //   src/net/ or src/store/:
@@ -15,9 +15,9 @@
 //   callback scheduled through a Schedule/Then sink (the callback executes
 //   on the owning domain), or through a method annotated
 //   `// hoplite-sa: mailbox -- <reason>` (the sanctioned cross-domain
-//   surface, e.g. Fabric::Send). This is the machine-checked contract the
-//   finer-grain sharding work lands against: state that passes this rule can
-//   move to a per-rack domain without growing cross-domain races.
+//   surface, e.g. Fabric::Send). Ownership stays explicit: state that passes
+//   this rule could later move to a per-rack domain without growing
+//   cross-domain races.
 //
 // The comment-based annotations that pair with this header (all reasons
 // mandatory; none count against the waiver budget):

@@ -6,24 +6,11 @@
 #include "cache/eviction_policy.h"
 #include "common/logging.h"
 #include "core/client.h"
-#include "sim/sharded_simulator.h"
 
 namespace hoplite::core {
 
 HopliteCluster::HopliteCluster(Options options)
-    : options_(std::move(options)),
-      own_sharded_(options_.engine == nullptr && options_.engine_shards > 1
-                       ? std::make_unique<sim::ShardedSimulator>(
-                             sim::ShardedSimulator::Options{options_.engine_shards})
-                       : nullptr),
-      own_sim_(options_.engine == nullptr && own_sharded_ == nullptr
-                   ? std::make_unique<sim::Simulator>()
-                   : nullptr),
-      sim_(options_.engine != nullptr
-               ? *options_.engine
-               : (own_sharded_ != nullptr
-                      ? own_sharded_->domain(own_sharded_->AddDomain("cluster"))
-                      : *own_sim_)) {
+    : options_(std::move(options)) {
   network_ = net::MakeFabric(sim_, options_.network);
   directory_ = std::make_unique<directory::ObjectDirectory>(*network_, options_.directory);
   const int n = options_.network.num_nodes;

@@ -18,17 +18,17 @@
 #include "sim/simulator.h"
 #include "store/local_store.h"
 
-namespace hoplite::sim {
-class ShardedSimulator;
-}  // namespace hoplite::sim
-
 namespace hoplite::core {
 
 class HopliteClient;
 
-// hoplite-sa: owner(HopliteCluster) -- owns the engine (or its domain
-// lane) itself: the cluster is destroyed only after the event queue it
-// schedules into has drained.
+// hoplite-sa: owner(HopliteCluster) -- owns the engine itself: the cluster
+// is destroyed only after the event queue it schedules into has drained.
+//
+// A cluster's fabric couples every flow and is mutated synchronously from
+// node events, so one cluster runs on one engine and one thread. Independent
+// clusters may run on separate threads (ParallelFor, common/parallel.h):
+// each owns its engine and shares no mutable state.
 class HopliteCluster {
  public:
   struct Options {
@@ -37,21 +37,6 @@ class HopliteCluster {
     HopliteConfig hoplite;
     /// Per-node store capacity in bytes; 0 = unlimited (default for benches).
     std::int64_t store_capacity_bytes = 0;
-    /// Event engine to run on. When null (default) the cluster owns a
-    /// private single-threaded sim::Simulator — the reference setup every
-    /// figure uses. To compose clusters under the sharded engine, pass a
-    /// ShardedSimulator domain lane here; the whole cluster then lives on
-    /// that domain (one cluster is one zero-lookahead coupling unit: its
-    /// fabric is mutated synchronously from node events, so it cannot be
-    /// split across domains without changing semantics). The engine must
-    /// outlive the cluster.
-    sim::Engine* engine = nullptr;
-    /// When `engine` is null and this is > 1, the cluster owns a
-    /// ShardedSimulator with that many shards and lives on its only domain
-    /// (the bench `--shards N` knob). A single domain serializes onto one
-    /// shard, so results are bit-identical to the reference Simulator —
-    /// this is the differential-sweep configuration, not a speedup.
-    int engine_shards = 1;
   };
 
   explicit HopliteCluster(Options options);
@@ -150,11 +135,7 @@ class HopliteCluster {
   void NotifyMembership(NodeID node, bool alive);
 
   Options options_;
-  /// Owned engines when options_.engine is null (sharded one only when
-  /// options_.engine_shards > 1); unused otherwise.
-  std::unique_ptr<sim::ShardedSimulator> own_sharded_;
-  std::unique_ptr<sim::Simulator> own_sim_;
-  sim::Engine& sim_;
+  sim::Simulator sim_;
   std::unique_ptr<net::Fabric> network_;
   std::unique_ptr<directory::ObjectDirectory> directory_;
   std::vector<std::unique_ptr<store::LocalStore>> stores_;

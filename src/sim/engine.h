@@ -1,18 +1,11 @@
 // The event-engine interface every layer above the simulator schedules
 // against.
 //
-// Two implementations exist, built on one event core — sim::EventQueue
-// (sim/event_queue.h), a slot/heap queue parameterised on its ordering key:
-//
-//   * sim::Simulator (sim/simulator.h) — the single-threaded reference
-//     engine: one queue keyed by global (time, seq) FIFO order,
-//     bit-reproducible by construction. This is the determinism reference.
-//   * sim::ShardedSimulator (sim/sharded_simulator.h) — the rack-partitioned
-//     parallel engine: one queue per shard keyed by a derived
-//     (time, parent_step, parent_domain, idx) order, shards synchronized
-//     with conservative lookahead. A cluster binds to one of its domains and
-//     schedules through the same surface; single-domain workloads reproduce
-//     the reference engine's execution order exactly.
+// sim::Simulator (sim/simulator.h) implements it: one single-threaded
+// slot/heap sim::EventQueue (sim/event_queue.h) in (time, seq) FIFO order,
+// bit-reproducible by construction. Drivers run against the interface, so
+// they can be handed a wrapper instead (the benchmark's TimedEngine forwards
+// every call and times Run).
 //
 // The interface is deliberately narrow: layers may schedule, cancel and read
 // the clock; driving the loop (Run / RunUntil / RunUntilPredicate) belongs to
@@ -42,8 +35,7 @@ struct EventId {
 /// Abstract discrete-event engine with integer-nanosecond virtual time.
 ///
 /// Semantics shared by every implementation:
-///  * events at equal timestamps fire in a deterministic engine-defined
-///    order (the reference engine: FIFO scheduling order);
+///  * events at equal timestamps fire in FIFO scheduling order;
 ///  * callbacks may schedule further events;
 ///  * Cancel is O(1) and safe on fired/cancelled/stale handles.
 class Engine {
@@ -89,10 +81,7 @@ class Engine {
   /// Whether no live event is pending (cancelled events do not count).
   [[nodiscard]] virtual bool Idle() const = 0;
 
-  /// Number of events executed so far (cancelled events excluded). For a
-  /// sharded-engine domain this counts the domain's own events, which is
-  /// exactly what the reference engine would have counted for the same
-  /// workload running alone.
+  /// Number of events executed so far (cancelled events excluded).
   [[nodiscard]] virtual std::uint64_t executed_events() const = 0;
 };
 

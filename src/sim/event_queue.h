@@ -1,15 +1,13 @@
-// The event queue both simulation engines run on.
+// The event queue sim::Simulator runs on.
 //
 // Events live in generation-stamped slots: the heap holds small plain
 // records {key, slot, gen} while callbacks sit in a slot array indexed by
 // EventId, so heap moves never touch a std::function. Push, Cancel and the
 // fired/cancelled test are O(1) array operations (plus the heap push/pop).
 //
-// The queue does not know the ordering rule: `Key` supplies it through
-// operator< (a strict total order over pending events) and carries the
-// event's `SimTime time`. sim::Simulator orders by a (time, seq) FIFO key,
-// sim::ShardedSimulator by a derived (time, parent_step, parent_domain, idx)
-// key, so the two engines remain independent order oracles for each other.
+// Events pop in (time, seq) order: earliest time first, and among events at
+// one timestamp, the order they were pushed (seq is a per-queue counter).
+// That FIFO tie-break makes every run bit-reproducible from its inputs.
 //
 // A slot's generation is odd while its event is pending and even once it
 // fired or was cancelled; a heap record is live iff its generation still
@@ -18,7 +16,7 @@
 // them all. Removing tombstones never perturbs order: it is fully determined
 // by the live keys.
 //
-// Not thread-safe; each engine documents who owns its queues.
+// Not thread-safe: one queue belongs to one engine on one thread.
 #pragma once
 
 #include <algorithm>
@@ -34,22 +32,28 @@
 
 namespace hoplite::sim {
 
-template <typename Key>
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// A popped event: its key, the owner tag it was pushed with, and its
-  /// callback (moved out of the freed slot).
+  /// Pop order: time, then FIFO among same-timestamp events.
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+
+    friend bool operator<(const Key& a, const Key& b) noexcept {
+      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
+  };
+
+  /// A popped event: its key and its callback (moved out of the freed slot).
   struct Fired {
     Key key;
-    std::uint32_t owner;
     Callback fn;
   };
 
-  /// Queues `fn` under `key`. `owner` is an opaque tag (the sharded engine's
-  /// DomainId) handed back by Pop and required to match by Cancel.
-  EventId Push(const Key& key, Callback fn, std::uint32_t owner = 0) {
+  /// Queues `fn` to fire at `time`, after every event already queued there.
+  EventId Push(SimTime time, Callback fn) {
     HOPLITE_CHECK(fn != nullptr);
     std::uint32_t slot;
     if (free_slots_.empty()) {
@@ -61,21 +65,20 @@ class EventQueue {
     }
     Slot& s = slots_[slot];
     ++s.gen;  // even -> odd: pending. gen 0 stays reserved for the invalid handle
-    s.owner = owner;
     s.fn = std::move(fn);
-    heap_.push_back(Record{key, slot, s.gen});
+    heap_.push_back(Record{Key{time, ++next_seq_}, slot, s.gen});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     return EventId{slot, s.gen};
   }
 
-  /// Cancels the pending event `id` pushed with `owner`. Returns false if it
-  /// already fired, was cancelled, its slot was since reused, or it belongs
-  /// to another owner. Sweeps the heap once tombstones outnumber half of it,
-  /// so heavy cancel traffic cannot grow the heap without bound.
-  bool Cancel(EventId id, std::uint32_t owner = 0) {
+  /// Cancels the pending event `id`. Returns false if it already fired, was
+  /// cancelled, or its slot was since reused. Sweeps the heap once tombstones
+  /// outnumber half of it, so heavy cancel traffic cannot grow the heap
+  /// without bound.
+  bool Cancel(EventId id) {
     if (!id.IsValid() || id.slot >= slots_.size()) return false;
     Slot& s = slots_[id.slot];
-    if (s.gen != id.gen || s.owner != owner) return false;
+    if (s.gen != id.gen) return false;
     Release(id.slot);
     ++stale_;
     if (stale_ > heap_.size() / 2) Sweep();
@@ -99,7 +102,7 @@ class EventQueue {
   Fired Pop() {
     const Record rec = PopRecord();
     Slot& s = slots_[rec.slot];
-    Fired fired{rec.key, s.owner, std::move(s.fn)};
+    Fired fired{rec.key, std::move(s.fn)};
     Release(rec.slot);
     return fired;
   }
@@ -110,14 +113,6 @@ class EventQueue {
   [[nodiscard]] std::size_t records() const noexcept { return heap_.size(); }
   /// Cancelled-but-unswept heap records.
   [[nodiscard]] std::size_t tombstones() const noexcept { return stale_; }
-
-  /// Calls `visit(key, owner)` for every live event, in heap order.
-  template <typename Visit>
-  void ForEachLive(Visit&& visit) const {
-    for (const Record& rec : heap_) {
-      if (IsLive(rec)) visit(rec.key, slots_[rec.slot].owner);
-    }
-  }
 
   /// Full slot/generation/heap consistency walk: no live event sits behind
   /// `now`, every pending slot is referenced by exactly one live heap record,
@@ -167,7 +162,6 @@ class EventQueue {
   struct Slot {
     Callback fn;
     std::uint32_t gen = 0;  ///< odd while pending
-    std::uint32_t owner = 0;
   };
   struct Later {
     // Max-heap comparator inverted into a min-heap by Key.
@@ -209,6 +203,7 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t stale_ = 0;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace hoplite::sim

@@ -7,8 +7,9 @@
 // (FIFO tie-break via a monotonically increasing sequence number), which makes
 // every run bit-reproducible from its inputs.
 //
-// The pending events live in one sim::EventQueue (sim/event_queue.h) keyed
-// by (time, seq); this class is the clock and the driver loops around it.
+// The pending events live in one sim::EventQueue (sim/event_queue.h), which
+// owns the (time, seq) order; this class is the clock and the driver loops
+// around it.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +25,11 @@
 namespace hoplite::sim {
 
 /// A discrete-event simulator with integer-nanosecond virtual time: the
-/// single-threaded reference implementation of sim::Engine.
+/// implementation of sim::Engine.
 ///
 /// Not thread-safe: this engine is single-threaded by design (determinism is
-/// the point), and its global (time, seq) FIFO order is the reference the
-/// sharded engine must reproduce. Event callbacks may schedule further
-/// events.
+/// the point). Independent simulations run in parallel as separate
+/// Simulators, one per thread. Event callbacks may schedule further events.
 class Simulator final : public Engine {
  public:
   Simulator() = default;
@@ -40,7 +40,7 @@ class Simulator final : public Engine {
   /// Schedules `fn` to run at absolute virtual time `t` (>= Now()).
   EventId ScheduleAt(SimTime t, Callback fn) override {
     HOPLITE_CHECK_GE(t, now_) << "cannot schedule into the past";
-    return queue_.Push(Key{t, ++next_seq_}, std::move(fn));
+    return queue_.Push(t, std::move(fn));
   }
 
   /// Schedules `fn` to run `delay` nanoseconds from now (delay >= 0).
@@ -58,7 +58,7 @@ class Simulator final : public Engine {
   /// drained. Cancelled events are skipped without being counted as steps.
   bool Step() {
     if (queue_.Peek() == nullptr) return false;
-    EventQueue<Key>::Fired ev = queue_.Pop();
+    EventQueue::Fired ev = queue_.Pop();
     HOPLITE_CHECK_GE(ev.key.time, now_);
     now_ = ev.key.time;
     ++executed_events_;
@@ -83,7 +83,7 @@ class Simulator final : public Engine {
   void RunUntil(SimTime deadline) override {
     // Peek drops cancelled heads first: a stale record at or before the
     // deadline must not license Step() to execute a live event beyond it.
-    for (const Key* head = queue_.Peek(); head != nullptr && head->time <= deadline;
+    for (const EventQueue::Key* head = queue_.Peek(); head != nullptr && head->time <= deadline;
          head = queue_.Peek()) {
       Step();
     }
@@ -123,20 +123,9 @@ class Simulator final : public Engine {
   /// Events between consecutive AuditInvariants() walks (power of two).
   static constexpr std::uint64_t kAuditPeriod = 1024;
 
-  /// Reference order: time, then FIFO among same-timestamp events.
-  struct Key {
-    SimTime time;
-    std::uint64_t seq;
-
-    friend bool operator<(const Key& a, const Key& b) noexcept {
-      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-    }
-  };
-
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_events_ = 0;
-  EventQueue<Key> queue_;
+  EventQueue queue_;
 };
 
 }  // namespace hoplite::sim

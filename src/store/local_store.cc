@@ -25,7 +25,7 @@ void LocalStore::CreatePartial(ObjectID object, std::int64_t size, CopyKind kind
   entry.state.size = size;
   entry.state.layout = ChunkLayout{size, chunk_size};
   entry.state.kind = kind;
-  policy_->OnInsert(object, size);
+  if (Capped()) policy_->OnInsert(object, size);
   used_bytes_ += size;
   peak_used_bytes_ = std::max(peak_used_bytes_, used_bytes_);
   entries_.emplace(object, std::move(entry));
@@ -89,7 +89,7 @@ void LocalStore::EraseEntry(std::unordered_map<ObjectID, Entry>::iterator it,
                             cache::RemovalCause cause) {
   used_bytes_ -= it->second.state.size;
   if (Evictable(it->second)) --evictable_count_;  // OnRemove drops the policy's mark
-  policy_->OnRemove(it->first, cause);
+  if (Capped()) policy_->OnRemove(it->first, cause);
   entries_.erase(it);
 }
 
@@ -168,13 +168,12 @@ void LocalStore::NoteEvictable(ObjectID object, bool evictable) {
   } else {
     --evictable_count_;
   }
-  // A store without a capacity never evicts, so its policy need not know.
-  if (capacity_bytes_ > 0) policy_->SetEvictable(object, evictable);
+  if (Capped()) policy_->SetEvictable(object, evictable);
 }
 
 void LocalStore::Touch(ObjectID object) {
   HOPLITE_CHECK(Contains(object)) << "object " << object << " not in store of node " << node_;
-  policy_->OnTouch(object);
+  if (Capped()) policy_->OnTouch(object);
 }
 
 std::vector<ObjectID> LocalStore::ListObjects() const {
@@ -200,25 +199,27 @@ void LocalStore::AuditAccounting() const {
       HOPLITE_AUDIT(e.completion_subs.empty())
           << object << " kept completion subscribers past completion";
     }
-    HOPLITE_AUDIT(policy_->Contains(object)) << object << " resident but untracked by policy";
+    HOPLITE_AUDIT(policy_->Contains(object) == Capped())
+        << object << ": policy tracking disagrees with capacity " << capacity_bytes_;
     for (const auto& sub : e.chunk_subs) HOPLITE_AUDIT(sub.first < e.next_token);
     for (const auto& sub : e.completion_subs) HOPLITE_AUDIT(sub.first < e.next_token);
   }
   HOPLITE_AUDIT(resident == used_bytes_)
       << "(" << resident << " resident bytes vs counter " << used_bytes_ << ")";
   HOPLITE_AUDIT(peak_used_bytes_ >= used_bytes_);
-  HOPLITE_AUDIT(policy_->size() == entries_.size())
-      << "(" << policy_->size() << " policy entries vs " << entries_.size() << " objects)";
+  const std::size_t tracked = Capped() ? entries_.size() : 0;
+  HOPLITE_AUDIT(policy_->size() == tracked)
+      << "(" << policy_->size() << " policy entries vs " << tracked << " expected)";
   HOPLITE_AUDIT(evictable.size() == evictable_count_)
       << "(" << evictable.size() << " evictable entries vs counter " << evictable_count_
       << ")";
-  if (capacity_bytes_ <= 0) evictable.clear();  // the policy is never told
+  if (!Capped()) evictable.clear();  // the policy is never told
   HOPLITE_AUDIT(policy_->EvictableObjects() == evictable)
       << "policy's evictable set differs from the store's on node " << node_;
 }
 
 void LocalStore::MaybeEvict() {
-  if (capacity_bytes_ <= 0) return;
+  if (!Capped()) return;
   // Over capacity with nothing evictable (only primaries, referenced or
   // partial copies left): overshoot rather than drop them.
   while (used_bytes_ > capacity_bytes_ && evictable_count_ > 0) {

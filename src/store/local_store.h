@@ -103,7 +103,8 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   void Ref(ObjectID object);
   void Unref(ObjectID object);
 
-  /// Records a use with the eviction policy (reorders/promotes the entry).
+  /// Records a use with the eviction policy (reorders/promotes the entry);
+  /// a no-op without a capacity.
   void Touch(ObjectID object);
 
   /// Serving-cache counters: a Get that found a local complete copy is a
@@ -130,10 +131,10 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
 
   /// Full byte-accounting walk (audit builds; also directly callable from
   /// tests): used_bytes == sum of resident entry sizes, non-negative ref
-  /// counts, entries/policy mutually consistent, complete entries with full
-  /// chunk prefixes and attached payloads, the evictable count equal to a
-  /// recount, and the policy's evictable set equal to the store's (empty
-  /// without a capacity).
+  /// counts, entries/policy mutually consistent (the policy empty without a
+  /// capacity), complete entries with full chunk prefixes and attached
+  /// payloads, the evictable count equal to a recount, and the policy's
+  /// evictable set equal to the store's.
   void AuditAccounting() const;
 
  private:
@@ -152,6 +153,9 @@ class HOPLITE_DOMAIN_CONFINED LocalStore {
   [[nodiscard]] bool Evictable(const Entry& e) const noexcept {
     return e.state.complete && e.refs == 0 && e.state.kind != CopyKind::kPrimary;
   }
+  /// Whether a capacity is enforced. A store without one never evicts, so
+  /// it never calls its policy: every policy hook is skipped.
+  [[nodiscard]] bool Capped() const noexcept { return capacity_bytes_ > 0; }
   /// Books a flip of `Evictable(entry)` for `object`: adjusts the count and,
   /// when a capacity is enforced, tells the policy.
   void NoteEvictable(ObjectID object, bool evictable);

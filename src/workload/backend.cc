@@ -152,7 +152,6 @@ class HopliteWorkloadBackend final : public WorkloadBackend {
     options.network.cache = spec.cache;
     options.network.qos = spec.qos;
     options.store_capacity_bytes = spec.store_capacity_bytes;
-    options.engine_shards = spec.engine_shards;
     return options;
   }
 

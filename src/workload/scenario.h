@@ -161,9 +161,6 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   /// Per-node store capacity (Hoplite backend only); 0 = unlimited.
   std::int64_t store_capacity_bytes = 0;
-  /// Event-engine shards for the Hoplite backend's cluster (bench --shards;
-  /// 1 = the reference Simulator). Engine choice never changes results.
-  int engine_shards = 1;
   /// Hot-object serving knobs (Hoplite backend only): eviction policy for
   /// the per-node stores and the directory's request-coalescing switch.
   cache::CacheConfig cache;

@@ -5,7 +5,7 @@
 // waiters kDeleted, a dead fetcher restarts the window, a dead producer
 // re-resolves survivors through a lineage re-Put, and an evicted fan-out
 // source is retracted and retried. Plus: zipf-serving scenario runs are
-// bit-identical across repeats and engine shard counts.
+// bit-identical across repeats.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -336,20 +336,19 @@ TEST(CoalescingTest, EvictedFanOutSourceIsRetractedAndSurvivorsRetried) {
 }  // namespace hoplite::core
 
 // ----------------------------------------------------------------------
-// zipf-serving determinism across repeats and engine shard counts.
+// zipf-serving determinism across repeats.
 // ----------------------------------------------------------------------
 
 namespace hoplite::workload {
 namespace {
 
-ScenarioSpec SmallZipfSpec(int engine_shards) {
+ScenarioSpec SmallZipfSpec() {
   ScenarioTuning tuning;
   tuning.num_nodes = 8;
   tuning.horizon = Milliseconds(200);
   tuning.seed = 11;
   ScenarioSpec spec = BuildScenario("zipf-serving", tuning);
   spec.store_capacity_bytes = MB(4);
-  spec.engine_shards = engine_shards;
   spec.cache.policy = cache::EvictionPolicyKind::kTwoQ;
   spec.cache.coalescing = true;
   return spec;
@@ -370,19 +369,12 @@ void ExpectSameReport(const LoadReport& one, const LoadReport& two) {
 }
 
 TEST(ZipfServingTest, RepeatRunsAreBitIdentical) {
-  const ScenarioSpec spec = SmallZipfSpec(/*engine_shards=*/1);
+  const ScenarioSpec spec = SmallZipfSpec();
   const LoadReport one = RunScenario(spec, BackendKind::kHoplite);
   const LoadReport two = RunScenario(spec, BackendKind::kHoplite);
   ASSERT_GT(one.total.offered, 0u);
   EXPECT_GT(one.store.hits, 0u) << "the hot set must produce local hits";
   ExpectSameReport(one, two);
-}
-
-TEST(ZipfServingTest, ShardedEngineRunIsBitIdenticalToReference) {
-  const LoadReport reference = RunScenario(SmallZipfSpec(1), BackendKind::kHoplite);
-  const LoadReport sharded = RunScenario(SmallZipfSpec(4), BackendKind::kHoplite);
-  ASSERT_GT(reference.total.offered, 0u);
-  ExpectSameReport(reference, sharded);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Lint self-test fixture: thread-shared mutable state outside the
-// sanctioned owners (sharded engine, bench --jobs pool). Cross-shard
-// interaction must travel through the engine's inter-shard mailbox.
+// sanctioned threading home (ParallelFor, src/common/parallel.h). Parallel
+// work must go through ParallelFor, each index writing only its own slot.
 // Never compiled; consumed by `lint_determinism.py --self-test`.
 #include <atomic>
 #include <mutex>
@@ -10,7 +10,7 @@ std::atomic<int> racy_counter{0};  // expect-lint: shared-mutable
 std::mutex racy_mu;  // expect-lint: shared-mutable
 thread_local int per_thread_cache = 0;  // expect-lint: shared-mutable
 
-void SideChannelBetweenShards() {
+void SideChannelBetweenWorkers() {
   std::thread worker([] { racy_counter.fetch_add(1); });  // expect-lint: shared-mutable
   {
     std::lock_guard<std::mutex> lock(racy_mu);  // expect-lint: shared-mutable

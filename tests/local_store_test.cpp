@@ -291,10 +291,18 @@ TEST(LocalStoreEvictionWorkTest, RefPinsAndUnrefReleasesForEviction) {
 }
 
 TEST(LocalStoreEvictionWorkTest, UncappedStoreNeverMarksItsPolicy) {
+  // A store without a capacity never evicts, so its policy is never called:
+  // inserts, touches, evictable marks and removals all bypass it.
   LocalStore store(0);
   store.CreatePartial(kObj, MB(6), CopyKind::kReplica, MB(4));
   store.MarkComplete(kObj, Buffer::OfSize(MB(6)));
+  store.CreatePartial(kObj2, MB(2), CopyKind::kPrimary, MB(4));
+  store.MarkComplete(kObj2, Buffer::OfSize(MB(2)));
+  store.Touch(kObj);
+  store.Touch(kObj2);
+  EXPECT_EQ(store.policy().size(), 0u);
   EXPECT_TRUE(store.policy().EvictableObjects().empty());
+  store.AuditAccounting();
   store.Ref(kObj);
   store.Unref(kObj);
   store.Remove(kObj);

@@ -4,8 +4,7 @@
 // admission control (kThrottled with a retry hint, token refund on
 // failure), the tenant-accounting edges (coalesced fetches charge the
 // window-opening tenant, broadcast relay flows inherit the requesting
-// receiver's tenant), and bit-identity of the misbehaving-tenant scenario
-// across engine shard counts.
+// receiver's tenant).
 #include "qos/qos.h"
 
 #include <gtest/gtest.h>
@@ -19,8 +18,6 @@
 #include "qos/token_bucket.h"
 #include "qos/wfq.h"
 #include "sim/simulator.h"
-#include "workload/driver.h"
-#include "workload/scenarios.h"
 
 namespace hoplite::qos {
 namespace {
@@ -318,44 +315,3 @@ TEST(QosAccountingTest, BroadcastRelayFlowsInheritTheRequestersTenant) {
 
 }  // namespace
 }  // namespace hoplite::qos
-
-// ----------------------------------------------------------------------
-// Scenario-level determinism: the fairness figure's substrate must be
-// bit-identical across engine shard counts, QoS fully on.
-// ----------------------------------------------------------------------
-
-namespace hoplite::workload {
-namespace {
-
-ScenarioSpec SmallMisbehavingSpec(int engine_shards) {
-  ScenarioTuning tuning;
-  tuning.num_nodes = 8;
-  tuning.horizon = Milliseconds(100);
-  tuning.seed = 13;
-  tuning.load_scale = 2.0;
-  tuning.max_object_bytes = KB(512);
-  ScenarioSpec spec = BuildScenario("misbehaving-tenant", tuning);
-  spec.engine_shards = engine_shards;
-  spec.qos.wfq = true;
-  spec.qos.aqm = true;
-  spec.qos.admission = true;
-  spec.qos.tenant_weights.assign(spec.tenants.size(), 1.0);
-  return spec;
-}
-
-TEST(QosScenarioTest, MisbehavingTenantRunIsBitIdenticalAcrossShardCounts) {
-  const LoadReport reference = RunScenario(SmallMisbehavingSpec(1), BackendKind::kHoplite);
-  const LoadReport sharded = RunScenario(SmallMisbehavingSpec(4), BackendKind::kHoplite);
-  ASSERT_GT(reference.total.offered, 0u);
-  ASSERT_EQ(reference.ops.size(), sharded.ops.size());
-  for (std::size_t i = 0; i < reference.ops.size(); ++i) {
-    EXPECT_EQ(reference.ops[i].issued_at, sharded.ops[i].issued_at) << "op " << i;
-    EXPECT_EQ(reference.ops[i].settled_at, sharded.ops[i].settled_at) << "op " << i;
-    EXPECT_EQ(reference.ops[i].ok, sharded.ops[i].ok) << "op " << i;
-  }
-  EXPECT_EQ(reference.end_time, sharded.end_time);
-  EXPECT_DOUBLE_EQ(reference.fairness, sharded.fairness);
-}
-
-}  // namespace
-}  // namespace hoplite::workload

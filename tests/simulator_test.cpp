@@ -184,6 +184,21 @@ TEST(SimulatorTest, RunUntilDoesNotExecutePastDeadlineOverCancelledHead) {
   EXPECT_EQ(sim.Now(), Milliseconds(100));
 }
 
+TEST(SimulatorTest, IdleIgnoresCancelledTombstones) {
+  // A fires, B was cancelled: once A has run, only B's tombstone is left in
+  // the queue, and it must not count as pending work.
+  Simulator sim;
+  bool fired = false;
+  sim.ScheduleAt(Milliseconds(10), [&fired] { fired = true; });
+  const EventId b = sim.ScheduleAt(Milliseconds(20), [] {});
+  EXPECT_TRUE(sim.Cancel(b));  // 1 tombstone of 2 records: survives the sweep
+  EXPECT_FALSE(sim.Idle());
+  EXPECT_TRUE(sim.RunUntilPredicate([&fired] { return fired; }));
+  ASSERT_EQ(sim.pending_events(), 1u) << "the tombstone must still be queued";
+  EXPECT_EQ(sim.cancelled_tombstones(), 1u);
+  EXPECT_TRUE(sim.Idle());
+}
+
 TEST(SimulatorTest, CancelSweepsTombstonesWhenTheyExceedHalfTheHeap) {
   Simulator sim;
   std::vector<EventId> ids;

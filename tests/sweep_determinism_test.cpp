@@ -3,10 +3,10 @@
 // 1. Every registered figure runs TWICE in the same process at reduced
 //    scale, and the two serialized result documents must be byte-identical
 //    once wall-clock content is excluded.
-// 2. The same sweep runs with every Hoplite cluster hosted on a
-//    ShardedSimulator (RunOptions::shards in {2, 4, 8}) and each document
-//    must be byte-identical to the shards=1 reference: the parallel engine
-//    is an implementation detail, never a result.
+// 2. The same sweep runs its figures on a 4-worker ParallelFor, the pool
+//    behind `bench_all --jobs`, and the document must be byte-identical to
+//    the sequential one: running figures concurrently must never change a
+//    result (no figure may share mutable state with another).
 //
 // This is the machine-checked form of the determinism contract the linter
 // (scripts/lint_determinism.py) enforces statically: same inputs, same
@@ -22,9 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/units.h"
 
 namespace hoplite::bench {
@@ -53,24 +55,24 @@ Row StripWallCoords(Row row) {
   return row;
 }
 
-// Runs every figure under `options` but serializes under `serialize_as`,
-// so sweeps that differ only in engine configuration (shards) produce
-// comparable documents.
-std::string SweepJson(const RunOptions& options, const RunOptions& serialize_as) {
-  std::vector<FigureResult> results;
+// Runs every figure under `options` on `workers` threads and serializes the
+// results in registration order.
+std::string SweepJson(const RunOptions& options, int workers = 1) {
+  std::vector<const Figure*> figures;
   for (const Figure& figure : Registry::Instance().figures()) {
-    if (figure.name == "engine-micro") continue;  // wholly wall-clock
+    if (figure.name != "engine-micro") figures.push_back(&figure);  // wholly wall-clock
+  }
+  std::vector<FigureResult> results(figures.size());
+  ParallelFor(figures.size(), workers, [&](std::size_t f) {
     std::vector<Row> rows;
-    for (Row& row : figure.fn(options)) {
+    for (Row& row : figures[f]->fn(options)) {
       if (IsWallRow(row)) continue;
       rows.push_back(StripWallCoords(std::move(row)));
     }
-    results.push_back(FigureResult{figure.name, figure.title, std::move(rows)});
-  }
-  return ResultsToJson(results, serialize_as);
+    results[f] = FigureResult{figures[f]->name, figures[f]->title, std::move(rows)};
+  });
+  return ResultsToJson(results, options);
 }
-
-std::string SweepJson(const RunOptions& options) { return SweepJson(options, options); }
 
 void ExpectSameDocument(const std::string& first, const std::string& second,
                         const std::string& what) {
@@ -93,16 +95,12 @@ TEST(SweepDeterminismTest, FullSweepTwiceInProcessIsByteIdentical) {
   ExpectSameDocument(first, second, "reference engine, run 1 vs run 2");
 }
 
-TEST(SweepDeterminismTest, ShardedSweepsReproduceTheReferenceByteIdentically) {
-  const RunOptions reference = ReducedScale();
-  const std::string baseline = SweepJson(reference);
-  ASSERT_FALSE(baseline.empty());
-  for (const int shards : {2, 4, 8}) {
-    RunOptions sharded = reference;
-    sharded.shards = shards;
-    ExpectSameDocument(baseline, SweepJson(sharded, reference),
-                       "shards=" + std::to_string(shards) + " vs reference");
-  }
+TEST(SweepDeterminismTest, ThreadedSweepMatchesSequential) {
+  const RunOptions options = ReducedScale();
+  const std::string sequential = SweepJson(options);
+  ASSERT_FALSE(sequential.empty());
+  ExpectSameDocument(sequential, SweepJson(options, /*workers=*/4),
+                     "4-worker sweep vs sequential");
 }
 
 }  // namespace
